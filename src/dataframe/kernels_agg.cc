@@ -148,7 +148,7 @@ void AccumulateRange(AggState* st, AggFunc func, const Column& col,
 /// pure function of the morsel geometry, never of the thread count.
 void MergeState(AggState* into, AggState* from) {
   into->sum.MergeFrom(from->sum);
-  into->isum += from->isum;
+  into->isum = WrapAdd(into->isum, from->isum);
   into->count += from->count;
   into->dmin = std::min(into->dmin, from->dmin);
   into->dmax = std::max(into->dmax, from->dmax);

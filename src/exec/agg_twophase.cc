@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/macros.h"
+#include "dataframe/arith_semantics.h"
 #include "dataframe/kahan.h"
 #include "dataframe/row_key.h"
 
@@ -170,39 +171,97 @@ Result<DataFrame> GroupByCombiner::Finish() {
 
 ReduceCombiner::ReduceCombiner(AggFunc func) : func_(func) {}
 
-Status ReduceCombiner::AddPartition(const DataFrame& partition) {
+// Partial layout. nunique: one string column "key" holding the partition's
+// distinct row keys in first-seen order. Every other function: one row
+// with "dtype" (the source column's DataType, which decides sum's result
+// type) plus "sum" and "count" (sum/mean), "count" (count) or "value"
+// (min/max: the partition's extreme, null when it has none).
+Result<DataFrame> ReduceCombiner::PartialReduce(
+    const DataFrame& partition) const {
   if (partition.num_columns() != 1) {
     return Status::TypeError("reduce expects a series partition");
   }
   const Column& col = *partition.column(size_t{0});
-  if (seen_type_ == df::DataType::kNull) seen_type_ = col.type();
+  MemoryTracker* tracker = col.tracker();
   if (func_ == AggFunc::kNunique) {
+    std::unordered_set<std::string> seen;
+    std::vector<std::string> keys;
     for (size_t r = 0; r < col.size(); ++r) {
       if (!col.IsValid(r)) continue;
       std::string key;
       df::internal::AppendRowKey(col, r, &key);
-      distinct_.insert(std::move(key));
+      if (seen.insert(key).second) keys.push_back(std::move(key));
+    }
+    LAFP_ASSIGN_OR_RETURN(ColumnPtr key_col,
+                          Column::MakeString(std::move(keys), {}, tracker));
+    return DataFrame::Make({"key"}, {key_col});
+  }
+  std::vector<std::string> names;
+  std::vector<ColumnPtr> cols;
+  auto add = [&](const char* name, const Scalar& value) -> Status {
+    LAFP_ASSIGN_OR_RETURN(ColumnPtr c, Column::MakeConstant(value, 1, tracker));
+    names.push_back(name);
+    cols.push_back(std::move(c));
+    return Status::OK();
+  };
+  LAFP_RETURN_NOT_OK(
+      add("dtype", Scalar::Int(static_cast<int64_t>(col.type()))));
+  if (func_ == AggFunc::kSum || func_ == AggFunc::kMean) {
+    LAFP_ASSIGN_OR_RETURN(Scalar s, df::Reduce(col, AggFunc::kSum));
+    LAFP_RETURN_NOT_OK(add("sum", s));
+  }
+  if (func_ == AggFunc::kMin || func_ == AggFunc::kMax) {
+    LAFP_ASSIGN_OR_RETURN(Scalar m, df::Reduce(col, func_));
+    LAFP_RETURN_NOT_OK(add("value", m));
+  } else {
+    LAFP_ASSIGN_OR_RETURN(Scalar c, df::Reduce(col, AggFunc::kCount));
+    LAFP_RETURN_NOT_OK(add("count", c));
+  }
+  return DataFrame::Make(std::move(names), std::move(cols));
+}
+
+Status ReduceCombiner::AddPartial(const DataFrame& partial) {
+  // Partials may have crossed a process boundary: check every field.
+  const Status malformed = Status::Invalid("malformed reduce partial");
+  if (func_ == AggFunc::kNunique) {
+    LAFP_ASSIGN_OR_RETURN(ColumnPtr keys, partial.column("key"));
+    if (keys->type() != df::DataType::kString) return malformed;
+    for (size_t r = 0; r < keys->size(); ++r) {
+      if (keys->IsValid(r)) distinct_.insert(keys->StringAt(r));
     }
     return Status::OK();
   }
-  // Fold using the engine's single-column reductions.
-  if (func_ == AggFunc::kSum || func_ == AggFunc::kMean ||
-      func_ == AggFunc::kCount) {
-    if (func_ != AggFunc::kCount) {
-      LAFP_ASSIGN_OR_RETURN(Scalar s, df::Reduce(col, AggFunc::kSum));
-      if (s.type() == df::DataType::kInt64) {
-        isum_ += s.int_value();
-        sum_.Add(static_cast<double>(s.int_value()));
-      } else {
-        sum_.Add(s.double_value());
-      }
+  if (partial.num_rows() != 1) return malformed;
+  auto field = [&](const char* name) -> Result<Scalar> {
+    LAFP_ASSIGN_OR_RETURN(ColumnPtr c, partial.column(name));
+    return c->ScalarAt(0);
+  };
+  LAFP_ASSIGN_OR_RETURN(Scalar dtype, field("dtype"));
+  if (dtype.type() != df::DataType::kInt64 || dtype.int_value() < 0 ||
+      dtype.int_value() > static_cast<int64_t>(df::DataType::kCategory)) {
+    return malformed;
+  }
+  if (seen_type_ == df::DataType::kNull) {
+    seen_type_ = static_cast<df::DataType>(dtype.int_value());
+  }
+  if (func_ == AggFunc::kSum || func_ == AggFunc::kMean) {
+    LAFP_ASSIGN_OR_RETURN(Scalar s, field("sum"));
+    if (s.type() == df::DataType::kInt64) {
+      isum_ = df::WrapAdd(isum_, s.int_value());
+      sum_.Add(static_cast<double>(s.int_value()));
+    } else if (s.type() == df::DataType::kDouble) {
+      sum_.Add(s.double_value());
+    } else {
+      return malformed;
     }
-    LAFP_ASSIGN_OR_RETURN(Scalar c, df::Reduce(col, AggFunc::kCount));
+  }
+  if (func_ != AggFunc::kMin && func_ != AggFunc::kMax) {
+    LAFP_ASSIGN_OR_RETURN(Scalar c, field("count"));
+    if (c.type() != df::DataType::kInt64) return malformed;
     count_ += c.int_value();
     return Status::OK();
   }
-  // min / max
-  LAFP_ASSIGN_OR_RETURN(Scalar m, df::Reduce(col, func_));
+  LAFP_ASSIGN_OR_RETURN(Scalar m, field("value"));
   if (m.is_null()) return Status::OK();
   if (!has_value_) {
     min_ = max_ = m;
@@ -212,6 +271,11 @@ Status ReduceCombiner::AddPartition(const DataFrame& partition) {
   if (func_ == AggFunc::kMin && CompareScalars(m, min_) < 0) min_ = m;
   if (func_ == AggFunc::kMax && CompareScalars(m, max_) > 0) max_ = m;
   return Status::OK();
+}
+
+Status ReduceCombiner::AddPartition(const DataFrame& partition) {
+  LAFP_ASSIGN_OR_RETURN(DataFrame partial, PartialReduce(partition));
+  return AddPartial(partial);
 }
 
 Result<Scalar> ReduceCombiner::Finish() {

@@ -40,8 +40,6 @@ class GroupByCombiner {
   /// Combine all partials into the final result. The combiner is spent.
   Result<df::DataFrame> Finish();
 
-  size_t num_partials() const { return partials_.size(); }
-
  private:
   std::vector<std::string> keys_;
   std::vector<df::AggSpec> aggs_;
@@ -50,13 +48,25 @@ class GroupByCombiner {
   std::vector<df::DataFrame> partials_;
 };
 
-/// Two-phase whole-column reduction (series.sum()/mean()/min()/...).
-/// nunique folds per-partition distinct encodings and is supported.
+/// Two-phase whole-column reduction (series.sum()/mean()/min()/...), in
+/// the same partial/fold shape as GroupByCombiner: PartialReduce turns one
+/// partition into a small partial frame (possibly in another process) and
+/// AddPartial folds partials in global partition order. nunique partials
+/// carry the partition's distinct row keys, so it decomposes too.
 class ReduceCombiner {
  public:
   explicit ReduceCombiner(df::AggFunc func);
 
-  /// Fold one partition of the series (a one-column frame).
+  /// Phase one: reduce one partition of the series (a one-column frame)
+  /// to a partial frame. Its size depends only on the function (and, for
+  /// nunique, on the distinct count), never on the partition's row count.
+  Result<df::DataFrame> PartialReduce(const df::DataFrame& partition) const;
+
+  /// Fold a partial produced by PartialReduce. Rejects malformed partials
+  /// with a clean Status (they may have crossed a process boundary).
+  Status AddPartial(const df::DataFrame& partial);
+
+  /// PartialReduce + AddPartial: the streaming fold used by Dask.
   Status AddPartition(const df::DataFrame& partition);
 
   Result<df::Scalar> Finish();

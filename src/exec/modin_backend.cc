@@ -1,38 +1,46 @@
 #include "exec/modin_backend.h"
 
 #include <chrono>
-#include <limits>
-#include <mutex>
 #include <thread>
 
 #include "common/macros.h"
 #include "common/trace.h"
-#include "exec/agg_twophase.h"
 
 namespace lafp::exec {
 
 namespace {
 
-/// Partitioned frame wrapper for Modin values.
+/// Partitioned frame wrapper for Modin values. A broadcast frame holds one
+/// whole frame that every partition of a Map sees (Placement::Broadcast).
 class ModinFrame : public BackendFrame {
  public:
-  explicit ModinFrame(PartitionedFrame parts) : parts_(std::move(parts)) {}
+  ModinFrame(PartitionedFrame parts, bool broadcast)
+      : parts_(std::move(parts)), broadcast_(broadcast) {}
   const PartitionedFrame& parts() const { return parts_; }
+  bool broadcast() const { return broadcast_; }
 
  private:
   PartitionedFrame parts_;
+  bool broadcast_;
 };
 
-Result<const PartitionedFrame*> PartsOf(const BackendValue& value) {
+Result<const ModinFrame*> FrameOf(const BackendValue& value) {
   auto* wrapped = dynamic_cast<ModinFrame*>(value.frame.get());
   if (wrapped == nullptr) {
     return Status::Invalid("foreign frame handle passed to modin backend");
   }
-  return &wrapped->parts();
+  return wrapped;
 }
 
-BackendValue WrapParts(PartitionedFrame parts) {
-  return BackendValue::Frame(std::make_shared<ModinFrame>(std::move(parts)));
+BackendValue WrapParts(PartitionedFrame parts, bool broadcast = false) {
+  return BackendValue::Frame(
+      std::make_shared<ModinFrame>(std::move(parts), broadcast));
+}
+
+BackendValue WrapWhole(df::DataFrame frame, bool broadcast = false) {
+  PartitionedFrame parts;
+  parts.Add(std::move(frame));
+  return WrapParts(std::move(parts), broadcast);
 }
 
 /// Partition fan-out with cross-thread kernel attribution. Each worker
@@ -99,110 +107,66 @@ Result<BackendValue> ModinBackend::Execute(
     const OpDesc& desc, const std::vector<BackendValue>& inputs) {
   trace::Span span("modin:execute", "backend");
   if (span.active()) span.AddArg("op", desc.ToString());
-  switch (desc.kind) {
-    case OpKind::kReadCsv: {
-      // Partitioned read: chunked, but eager (all partitions in memory).
-      LAFP_ASSIGN_OR_RETURN(
-          auto reader,
-          io::CsvChunkReader::Open(desc.path, desc.csv_options, tracker_));
-      PartitionedFrame parts;
-      while (true) {
-        LAFP_ASSIGN_OR_RETURN(auto chunk,
-                              reader->NextChunk(config_.partition_rows));
-        if (!chunk.has_value()) break;
-        PayOverhead();
-        parts.Add(std::move(*chunk));
-      }
-      if (parts.num_partitions() == 0) {
-        LAFP_ASSIGN_OR_RETURN(
-            df::DataFrame empty,
-            io::ReadCsv(desc.path, desc.csv_options, tracker_));
-        parts.Add(std::move(empty));
-      }
-      return WrapParts(std::move(parts));
-    }
-    case OpKind::kReadLfc: {
-      // Native columnar scan: each surviving LFC chunk becomes one
-      // partition. Zone-pruned chunks still consume their share of the
-      // nrows quota so the partitioned read matches the eager scan.
-      LAFP_ASSIGN_OR_RETURN(auto reader,
-                            io::LfcReader::Open(desc.path, tracker_));
-      const auto& o = desc.lfc_options;
-      LAFP_ASSIGN_OR_RETURN(std::vector<size_t> sel,
-                            reader->SelectColumns(o.usecols));
-      const bool pruning = o.prune_enabled && !o.prune.empty();
-      PartitionedFrame parts;
-      uint64_t remaining = o.nrows == 0
-                               ? std::numeric_limits<uint64_t>::max()
-                               : o.nrows;
-      for (size_t chunk = 0; chunk < reader->num_chunks(); ++chunk) {
-        if (remaining == 0) break;
-        const uint64_t take =
-            std::min<uint64_t>(reader->chunk_rows(chunk), remaining);
-        remaining -= take;
-        if (pruning && !reader->ChunkMayMatch(chunk, o.prune)) continue;
-        LAFP_ASSIGN_OR_RETURN(
-            df::DataFrame part,
-            reader->ReadChunk(chunk, sel, static_cast<size_t>(take)));
-        PayOverhead();
-        parts.Add(std::move(part));
-      }
-      if (parts.num_partitions() == 0) {
-        LAFP_ASSIGN_OR_RETURN(df::DataFrame empty, reader->EmptyFrame(sel));
-        parts.Add(std::move(empty));
-      }
-      return WrapParts(std::move(parts));
-    }
-    case OpKind::kGroupByAgg:
-      return ExecuteGroupBy(desc, inputs[0]);
-    case OpKind::kReduce:
-    case OpKind::kLen:
-      return ExecuteReduce(desc, inputs[0]);
-    case OpKind::kMerge:
-      return ExecuteMerge(desc, inputs[0], inputs[1]);
-    default:
-      if (IsMapOp(desc.kind)) return ExecuteMapOp(desc, inputs);
-      return ExecuteViaConcat(desc, inputs);
-  }
+  return executor_.Execute(desc, inputs);
 }
 
-Result<BackendValue> ModinBackend::ExecuteMapOp(
+Result<EagerValue> ModinBackend::Materialize(const BackendValue& value) {
+  return executor_.Materialize(value);
+}
+
+Result<BackendValue> ModinBackend::FromEager(const EagerValue& value) {
+  return executor_.FromEager(value);
+}
+
+int64_t ModinBackend::RowCount(const BackendValue& value) const {
+  if (value.is_scalar) return 1;
+  auto* wrapped = dynamic_cast<ModinFrame*>(value.frame.get());
+  if (wrapped == nullptr) return -1;
+  return static_cast<int64_t>(wrapped->parts().num_rows());
+}
+
+Result<BackendValue> ModinBackend::Scan(const OpDesc& desc) {
+  // Partitioned read: chunked, but eager (all partitions in memory).
+  PartitionedFrame parts;
+  LAFP_RETURN_NOT_OK(
+      ScanPartitions(
+          desc, config_.partition_rows, tracker_,
+          [](uint64_t) { return true; },
+          [&](uint64_t, df::DataFrame part) {
+            PayOverhead();
+            parts.Add(std::move(part));
+            return Status::OK();
+          })
+          .status());
+  return WrapParts(std::move(parts));
+}
+
+Result<BackendValue> ModinBackend::Map(
     const OpDesc& desc, const std::vector<BackendValue>& inputs) {
-  LAFP_ASSIGN_OR_RETURN(const PartitionedFrame* primary, PartsOf(inputs[0]));
-  const PartitionedFrame* secondary = nullptr;
-  df::Scalar runtime_scalar;
-  bool second_is_scalar = false;
-  if (inputs.size() > 1) {
-    if (inputs[1].is_scalar) {
-      second_is_scalar = true;
-      runtime_scalar = inputs[1].scalar;
-    } else {
-      LAFP_ASSIGN_OR_RETURN(secondary, PartsOf(inputs[1]));
-      if (secondary->num_partitions() != primary->num_partitions()) {
-        // Misaligned partitioning: run via concat as a correctness
-        // fallback.
-        return ExecuteViaConcat(desc, inputs);
-      }
-    }
+  std::vector<const ModinFrame*> frames(inputs.size(), nullptr);
+  for (size_t k = 0; k < inputs.size(); ++k) {
+    if (k > 0 && inputs[k].is_scalar) continue;
+    LAFP_ASSIGN_OR_RETURN(frames[k], FrameOf(inputs[k]));
   }
-  size_t np = primary->num_partitions();
+  const size_t np = frames[0]->parts().num_partitions();
   std::vector<df::DataFrame> results(np);
   LAFP_RETURN_NOT_OK(RunPartitions(
-      work_pool_, np, "map", [&](int i) -> Status {
+      work_pool_, np, desc.kind == OpKind::kMerge ? "merge" : "map",
+      [&](int i) -> Status {
         PayOverhead();
-        LAFP_ASSIGN_OR_RETURN(df::DataFrame part,
-                              primary->partition(i, tracker_));
-        std::vector<EagerValue> eager_inputs;
-        eager_inputs.push_back(EagerValue::Frame(std::move(part)));
-        if (secondary != nullptr) {
-          LAFP_ASSIGN_OR_RETURN(df::DataFrame second,
-                                secondary->partition(i, tracker_));
-          eager_inputs.push_back(EagerValue::Frame(std::move(second)));
-        } else if (second_is_scalar) {
-          eager_inputs.push_back(EagerValue::FromScalar(runtime_scalar));
+        std::vector<EagerValue> args;
+        for (size_t k = 0; k < inputs.size(); ++k) {
+          if (frames[k] == nullptr) {
+            args.push_back(EagerValue::FromScalar(inputs[k].scalar));
+            continue;
+          }
+          const size_t p = frames[k]->broadcast() ? 0 : static_cast<size_t>(i);
+          LAFP_ASSIGN_OR_RETURN(df::DataFrame part,
+                                frames[k]->parts().partition(p, tracker_));
+          args.push_back(EagerValue::Frame(std::move(part)));
         }
         LAFP_ASSIGN_OR_RETURN(EagerValue out,
-                              ExecuteEagerOp(desc, eager_inputs, tracker_));
+                              ExecuteEagerOp(desc, args, tracker_));
         results[i] = std::move(out.frame);
         return Status::OK();
       }));
@@ -211,114 +175,61 @@ Result<BackendValue> ModinBackend::ExecuteMapOp(
   return WrapParts(std::move(out));
 }
 
-Result<BackendValue> ModinBackend::ExecuteGroupBy(
+Result<std::vector<df::DataFrame>> ModinBackend::Partials(
     const OpDesc& desc, const BackendValue& input) {
-  LAFP_ASSIGN_OR_RETURN(const PartitionedFrame* parts, PartsOf(input));
-  GroupByCombiner combiner(desc.columns, desc.aggs);
-  if (!combiner.supported()) {
-    return ExecuteViaConcat(desc, {input});
-  }
-  size_t np = parts->num_partitions();
-  // Partial aggregation is parallel; partials are folded in deterministic
-  // partition order for reproducible output.
-  std::vector<df::DataFrame> partial_inputs(np);
+  LAFP_ASSIGN_OR_RETURN(const ModinFrame* frame, FrameOf(input));
+  const PartitionedFrame& parts = frame->parts();
+  std::vector<df::DataFrame> partials(parts.num_partitions());
   LAFP_RETURN_NOT_OK(RunPartitions(
-      work_pool_, np, "groupby", [&](int i) -> Status {
+      work_pool_, partials.size(),
+      desc.kind == OpKind::kGroupByAgg ? "groupby" : "reduce",
+      [&](int i) -> Status {
         PayOverhead();
         LAFP_ASSIGN_OR_RETURN(df::DataFrame part,
-                              parts->partition(i, tracker_));
-        partial_inputs[i] = std::move(part);
+                              parts.partition(i, tracker_));
+        LAFP_ASSIGN_OR_RETURN(partials[i], PartialOf(desc, part));
         return Status::OK();
       }));
-  for (const auto& part : partial_inputs) {
-    LAFP_RETURN_NOT_OK(combiner.AddPartition(part));
-  }
-  LAFP_ASSIGN_OR_RETURN(df::DataFrame result, combiner.Finish());
-  PartitionedFrame out;
-  out.Add(std::move(result));
-  return WrapParts(std::move(out));
+  return partials;
 }
 
-Result<BackendValue> ModinBackend::ExecuteReduce(const OpDesc& desc,
-                                                 const BackendValue& input) {
-  LAFP_ASSIGN_OR_RETURN(const PartitionedFrame* parts, PartsOf(input));
-  if (desc.kind == OpKind::kLen) {
-    return BackendValue::FromScalar(
-        df::Scalar::Int(static_cast<int64_t>(parts->num_rows())));
-  }
-  ReduceCombiner combiner(desc.agg_func);
-  for (size_t i = 0; i < parts->num_partitions(); ++i) {
-    PayOverhead();
-    LAFP_ASSIGN_OR_RETURN(df::DataFrame part, parts->partition(i, tracker_));
-    LAFP_RETURN_NOT_OK(combiner.AddPartition(part));
-  }
-  LAFP_ASSIGN_OR_RETURN(df::Scalar out, combiner.Finish());
-  return BackendValue::FromScalar(std::move(out));
+Result<BackendValue> ModinBackend::Broadcast(const df::DataFrame& frame,
+                                             const BackendValue& near) {
+  (void)near;  // every pool thread already shares this memory
+  return WrapWhole(frame, /*broadcast=*/true);
 }
 
-Result<BackendValue> ModinBackend::ExecuteMerge(const OpDesc& desc,
-                                                const BackendValue& left,
-                                                const BackendValue& right) {
-  LAFP_ASSIGN_OR_RETURN(const PartitionedFrame* lparts, PartsOf(left));
-  LAFP_ASSIGN_OR_RETURN(const PartitionedFrame* rparts, PartsOf(right));
-  // Broadcast join: the right side is concatenated and joined against
-  // every left partition in parallel.
-  LAFP_ASSIGN_OR_RETURN(df::DataFrame right_full, rparts->ToEager(tracker_));
-  size_t np = lparts->num_partitions();
-  std::vector<df::DataFrame> results(np);
-  LAFP_RETURN_NOT_OK(RunPartitions(
-      work_pool_, np, "merge", [&](int i) -> Status {
-        PayOverhead();
-        LAFP_ASSIGN_OR_RETURN(df::DataFrame part,
-                              lparts->partition(i, tracker_));
-        LAFP_ASSIGN_OR_RETURN(
-            df::DataFrame joined,
-            df::Merge(part, right_full, desc.columns, desc.join_type));
-        results[i] = std::move(joined);
-        return Status::OK();
-      }));
-  PartitionedFrame out;
-  for (auto& r : results) out.Add(std::move(r));
-  return WrapParts(std::move(out));
+Result<df::DataFrame> ModinBackend::Gather(const BackendValue& value) {
+  LAFP_ASSIGN_OR_RETURN(const ModinFrame* frame, FrameOf(value));
+  return frame->parts().ToEager(tracker_);
 }
 
-Result<BackendValue> ModinBackend::ExecuteViaConcat(
-    const OpDesc& desc, const std::vector<BackendValue>& inputs) {
-  // Whole-frame ops run on the calling (scheduler) thread, so kernel
-  // morsels can borrow the partition pool without nesting: its workers
-  // never see this thread-local context.
-  df::KernelScope kernel_scope(&kernel_ctx_);
-  std::vector<EagerValue> eager_inputs;
-  for (const auto& in : inputs) {
-    LAFP_ASSIGN_OR_RETURN(EagerValue v, Materialize(in));
-    eager_inputs.push_back(std::move(v));
-  }
-  PayOverhead();
-  LAFP_ASSIGN_OR_RETURN(EagerValue out,
-                        ExecuteEagerOp(desc, eager_inputs, tracker_));
-  return FromEager(out);
-}
-
-Result<EagerValue> ModinBackend::Materialize(const BackendValue& value) {
-  if (value.is_scalar) return EagerValue::FromScalar(value.scalar);
-  LAFP_ASSIGN_OR_RETURN(const PartitionedFrame* parts, PartsOf(value));
-  LAFP_ASSIGN_OR_RETURN(df::DataFrame frame, parts->ToEager(tracker_));
-  return EagerValue::Frame(std::move(frame));
-}
-
-Result<BackendValue> ModinBackend::FromEager(const EagerValue& value) {
-  if (value.is_scalar) return BackendValue::FromScalar(value.scalar);
+Result<BackendValue> ModinBackend::Scatter(const df::DataFrame& frame) {
   LAFP_ASSIGN_OR_RETURN(
       PartitionedFrame parts,
-      PartitionedFrame::FromEager(value.frame, config_.partition_rows));
+      PartitionedFrame::FromEager(frame, config_.partition_rows));
   return WrapParts(std::move(parts));
 }
 
-int64_t ModinBackend::RowCount(const BackendValue& value) const {
-  if (value.is_scalar) return 1;
-  auto* wrapped = dynamic_cast<ModinFrame*>(value.frame.get());
-  if (wrapped == nullptr) return -1;
-  return static_cast<int64_t>(wrapped->parts().num_rows());
+Result<BackendValue> ModinBackend::PlaceResult(df::DataFrame frame) {
+  return WrapWhole(std::move(frame));
+}
+
+Result<bool> ModinBackend::Aligned(const BackendValue& a,
+                                   const BackendValue& b) const {
+  LAFP_ASSIGN_OR_RETURN(const ModinFrame* fa, FrameOf(a));
+  LAFP_ASSIGN_OR_RETURN(const ModinFrame* fb, FrameOf(b));
+  return !fb->broadcast() &&
+         fa->parts().num_partitions() == fb->parts().num_partitions();
+}
+
+Result<EagerValue> ModinBackend::RunWhole(
+    const OpDesc& desc, const std::vector<EagerValue>& inputs) {
+  // The pool's workers never see this thread-local context, so kernel
+  // morsels can borrow the partition pool without nesting.
+  df::KernelScope kernel_scope(&kernel_ctx_);
+  PayOverhead();
+  return ExecuteEagerOp(desc, inputs, tracker_);
 }
 
 }  // namespace lafp::exec

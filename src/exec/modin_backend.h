@@ -8,6 +8,7 @@
 #include "dataframe/kernel_context.h"
 #include "exec/backend.h"
 #include "exec/partition.h"
+#include "exec/partitioned_executor.h"
 
 namespace lafp::exec {
 
@@ -32,7 +33,10 @@ namespace lafp::exec {
 /// partition level — the kernel context is thread-local and does not
 /// propagate into pool workers, so per-partition kernels stay serial
 /// instead of forking nested morsel tasks onto the pool they run on.
-class ModinBackend : public Backend {
+///
+/// The strategies live in PartitionedExecutor; this class is its
+/// thread-pool placement.
+class ModinBackend : public Backend, private Placement {
  public:
   ModinBackend(MemoryTracker* tracker, const BackendConfig& config);
 
@@ -50,26 +54,31 @@ class ModinBackend : public Backend {
   /// One partition task's simulated scheduling cost.
   void PayOverhead() const;
 
-  Result<BackendValue> ExecuteMapOp(const OpDesc& desc,
-                                    const std::vector<BackendValue>& inputs);
-  Result<BackendValue> ExecuteGroupBy(const OpDesc& desc,
-                                      const BackendValue& input);
-  Result<BackendValue> ExecuteReduce(const OpDesc& desc,
-                                     const BackendValue& input);
-  Result<BackendValue> ExecuteMerge(const OpDesc& desc,
-                                    const BackendValue& left,
-                                    const BackendValue& right);
-  /// Ops without a partitioned algorithm (sort, describe, ...) run on the
-  /// concatenated frame, then re-partition — cheap since Modin is
-  /// in-memory anyway.
-  Result<BackendValue> ExecuteViaConcat(
-      const OpDesc& desc, const std::vector<BackendValue>& inputs);
+  // Placement over the partition pool.
+  Result<BackendValue> Scan(const OpDesc& desc) override;
+  Result<BackendValue> Map(const OpDesc& desc,
+                           const std::vector<BackendValue>& inputs) override;
+  Result<std::vector<df::DataFrame>> Partials(
+      const OpDesc& desc, const BackendValue& input) override;
+  Result<BackendValue> Broadcast(const df::DataFrame& frame,
+                                 const BackendValue& near) override;
+  Result<df::DataFrame> Gather(const BackendValue& value) override;
+  Result<BackendValue> Scatter(const df::DataFrame& frame) override;
+  /// A combine result stays one partition: it is already in memory.
+  Result<BackendValue> PlaceResult(df::DataFrame frame) override;
+  Result<bool> Aligned(const BackendValue& a,
+                       const BackendValue& b) const override;
+  /// Whole-frame ops run on the calling (scheduler) thread under the
+  /// kernel context, so kernel morsels borrow the partition pool.
+  Result<EagerValue> RunWhole(const OpDesc& desc,
+                              const std::vector<EagerValue>& inputs) override;
 
   /// Owned only when no shared pool was injected
   /// (BackendConfig::shared_pool); work_pool_ is what partition ops use.
   std::unique_ptr<ThreadPool> owned_pool_;
   ThreadPool* work_pool_;
   df::KernelContext kernel_ctx_;  // over work_pool_; default if knob is 0
+  PartitionedExecutor executor_{this};
 };
 
 }  // namespace lafp::exec

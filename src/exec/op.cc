@@ -292,21 +292,6 @@ bool IsMapOp(OpKind kind) {
   }
 }
 
-bool IsReductionOp(OpKind kind) {
-  switch (kind) {
-    case OpKind::kGroupByAgg:
-    case OpKind::kReduce:
-    case OpKind::kValueCounts:
-    case OpKind::kDescribe:
-    case OpKind::kLen:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool HasSideEffect(OpKind kind) { return kind == OpKind::kPrint; }
-
 bool GetColumnEffects(const OpDesc& desc, std::vector<std::string>* used,
                       std::vector<std::string>* modified) {
   used->clear();

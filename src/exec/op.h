@@ -116,13 +116,9 @@ struct OpDesc {
 /// returns -1).
 int ExpectedArity(const OpDesc& desc);
 
-/// Classification used by the partitioned backends.
-/// A map op applies independently per partition (row-wise).
+/// A map op applies independently per partition (row-wise): the
+/// partitioned executor runs it partition-local.
 bool IsMapOp(OpKind kind);
-/// A reduction collapses all partitions into one small result.
-bool IsReductionOp(OpKind kind);
-/// Ops with side effects (print); never elided or reordered past each other.
-bool HasSideEffect(OpKind kind);
 
 /// Columns a filter predicate / op uses and modifies — the safe-point
 /// machinery of predicate pushdown (§3.2). `used` is filled with the

@@ -8,9 +8,17 @@ namespace lafp::script {
 
 namespace {
 
+/// Nesting budget: unary operators, parentheses, list/dict/call
+/// arguments, subscripts, operator and postfix chains and blocks each
+/// count one level. The parser and every later tree walk (analysis,
+/// lowering, codegen, the interpreter) recurse once per level, so the cap
+/// bounds their stack depth for any input.
+constexpr int kMaxNestingDepth = 200;
+
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  explicit Parser(std::vector<Token> tokens, int depth = 0)
+      : tokens_(std::move(tokens)), depth_(depth) {}
 
   Result<Module> ParseModule() {
     Module module;
@@ -49,6 +57,26 @@ class Parser {
   Status Err(const std::string& msg) const {
     return Status::ParseError("line " + std::to_string(Peek().line) + ": " +
                               msg);
+  }
+
+  /// Scoped nesting levels: Deepen() adds one (false past the cap) and
+  /// the destructor gives back every level taken in the scope.
+  class Depth {
+   public:
+    explicit Depth(Parser* p) : p_(p), saved_(p->depth_) {}
+    ~Depth() { p_->depth_ = saved_; }
+    bool Deepen() { return ++p_->depth_ <= kMaxNestingDepth; }
+    Depth(const Depth&) = delete;
+    Depth& operator=(const Depth&) = delete;
+
+   private:
+    Parser* p_;
+    int saved_;
+  };
+  Status TooDeep() const {
+    return Status::Invalid("line " + std::to_string(Peek().line) +
+                           ": nesting deeper than " +
+                           std::to_string(kMaxNestingDepth) + " levels");
   }
 
   ExprPtr NewExpr(ExprKind kind) {
@@ -132,6 +160,8 @@ class Parser {
   }
 
   Result<StmtPtr> ParseIf() {
+    Depth depth(this);  // elif chains recurse here
+    if (!depth.Deepen()) return TooDeep();
     LAFP_RETURN_NOT_OK(Expect(TokenKind::kIf));
     auto stmt = std::make_unique<Stmt>();
     stmt->kind = StmtKind::kIf;
@@ -177,6 +207,8 @@ class Parser {
   }
 
   Result<std::vector<StmtPtr>> ParseBlock() {
+    Depth depth(this);
+    if (!depth.Deepen()) return TooDeep();
     LAFP_RETURN_NOT_OK(Expect(TokenKind::kNewline));
     LAFP_RETURN_NOT_OK(Expect(TokenKind::kIndent));
     std::vector<StmtPtr> body;
@@ -191,11 +223,17 @@ class Parser {
 
   // Expression precedence: or < and < not < comparison < |& < +- < */% <
   // unary < postfix.
-  Result<ExprPtr> ParseExpr() { return ParseOr(); }
+  Result<ExprPtr> ParseExpr() {
+    Depth depth(this);
+    if (!depth.Deepen()) return TooDeep();
+    return ParseOr();
+  }
 
   Result<ExprPtr> ParseOr() {
     LAFP_ASSIGN_OR_RETURN(ExprPtr left, ParseAnd());
+    Depth depth(this);  // each operator deepens the left spine
     while (Check(TokenKind::kOr)) {
+      if (!depth.Deepen()) return TooDeep();
       Advance();
       LAFP_ASSIGN_OR_RETURN(ExprPtr right, ParseAnd());
       left = MakeBin("or", std::move(left), std::move(right));
@@ -205,7 +243,9 @@ class Parser {
 
   Result<ExprPtr> ParseAnd() {
     LAFP_ASSIGN_OR_RETURN(ExprPtr left, ParseNot());
+    Depth depth(this);  // each operator deepens the left spine
     while (Check(TokenKind::kAnd)) {
+      if (!depth.Deepen()) return TooDeep();
       Advance();
       LAFP_ASSIGN_OR_RETURN(ExprPtr right, ParseNot());
       left = MakeBin("and", std::move(left), std::move(right));
@@ -215,6 +255,8 @@ class Parser {
 
   Result<ExprPtr> ParseNot() {
     if (Match(TokenKind::kNot)) {
+      Depth depth(this);
+      if (!depth.Deepen()) return TooDeep();
       LAFP_ASSIGN_OR_RETURN(ExprPtr operand, ParseNot());
       auto e = NewExpr(ExprKind::kUnaryOp);
       e->name = "not";
@@ -246,7 +288,9 @@ class Parser {
 
   Result<ExprPtr> ParseBitwise() {
     LAFP_ASSIGN_OR_RETURN(ExprPtr left, ParseAdditive());
+    Depth depth(this);  // each operator deepens the left spine
     while (Check(TokenKind::kAmp) || Check(TokenKind::kPipe)) {
+      if (!depth.Deepen()) return TooDeep();
       std::string op = Advance().text;
       LAFP_ASSIGN_OR_RETURN(ExprPtr right, ParseAdditive());
       left = MakeBin(op, std::move(left), std::move(right));
@@ -256,7 +300,9 @@ class Parser {
 
   Result<ExprPtr> ParseAdditive() {
     LAFP_ASSIGN_OR_RETURN(ExprPtr left, ParseTerm());
+    Depth depth(this);  // each operator deepens the left spine
     while (Check(TokenKind::kPlus) || Check(TokenKind::kMinus)) {
+      if (!depth.Deepen()) return TooDeep();
       std::string op = Advance().text;
       LAFP_ASSIGN_OR_RETURN(ExprPtr right, ParseTerm());
       left = MakeBin(op, std::move(left), std::move(right));
@@ -266,8 +312,10 @@ class Parser {
 
   Result<ExprPtr> ParseTerm() {
     LAFP_ASSIGN_OR_RETURN(ExprPtr left, ParseUnary());
+    Depth depth(this);  // each operator deepens the left spine
     while (Check(TokenKind::kStar) || Check(TokenKind::kSlash) ||
            Check(TokenKind::kPercent)) {
+      if (!depth.Deepen()) return TooDeep();
       std::string op = Advance().text;
       LAFP_ASSIGN_OR_RETURN(ExprPtr right, ParseUnary());
       left = MakeBin(op, std::move(left), std::move(right));
@@ -277,6 +325,8 @@ class Parser {
 
   Result<ExprPtr> ParseUnary() {
     if (Check(TokenKind::kMinus) || Check(TokenKind::kTilde)) {
+      Depth depth(this);
+      if (!depth.Deepen()) return TooDeep();
       std::string op = Advance().text;
       LAFP_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
       // Constant-fold negative number literals.
@@ -298,7 +348,9 @@ class Parser {
 
   Result<ExprPtr> ParsePostfix() {
     LAFP_ASSIGN_OR_RETURN(ExprPtr expr, ParseAtom());
+    Depth depth(this);  // each postfix op wraps the expression once more
     while (true) {
+      if (!depth.Deepen()) return TooDeep();
       if (Match(TokenKind::kDot)) {
         if (!Check(TokenKind::kName)) return Err("expected attribute name");
         auto e = NewExpr(ExprKind::kAttribute);
@@ -438,7 +490,7 @@ class Parser {
 
   Result<ExprPtr> ParseEmbedded(const std::string& fragment) {
     LAFP_ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(fragment));
-    Parser inner(std::move(tokens));
+    Parser inner(std::move(tokens), depth_);
     return inner.ParseSingleExpression();
   }
 
@@ -454,6 +506,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

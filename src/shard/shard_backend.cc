@@ -16,7 +16,6 @@
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "dataframe/ops.h"
-#include "exec/agg_twophase.h"
 #include "exec/partition.h"
 #include "exec/spill.h"
 #include "shard/worker.h"
@@ -33,32 +32,38 @@ using exec::OpKind;
 /// Upper bound on worker processes; LAFP_SHARDS beyond this clamps.
 constexpr int kMaxShards = 64;
 
-/// Coordinator-side handle to a sharded frame. Destruction queues the
-/// remote frees (any scheduler thread may drop the last reference; the
-/// actual protocol calls happen on the coordinator thread).
+/// Coordinator-side handle to a sharded frame: it owns the remote frames
+/// in `parts`, and destruction queues their frees (any scheduler thread
+/// may drop the last reference; the protocol calls happen on the
+/// coordinator thread). Ops adopt each handle into a frame as soon as it
+/// is minted, before any status is checked, so no failure path leaks.
 class ShardFrame : public exec::BackendFrame {
  public:
-  ShardFrame(std::shared_ptr<Cluster> cluster,
-             std::vector<ShardPartition> parts)
-      : cluster_(std::move(cluster)), parts_(std::move(parts)) {
-    for (const auto& p : parts_) rows_ += p.rows;
-  }
+  explicit ShardFrame(std::shared_ptr<Cluster> cluster, bool broadcast = false)
+      : broadcast(broadcast), cluster_(std::move(cluster)) {}
   ~ShardFrame() override {
-    for (const auto& p : parts_) {
+    for (const auto& p : parts) {
       cluster_->QueueFree(p.worker, p.generation, p.handle);
     }
   }
 
-  const std::vector<ShardPartition>& parts() const { return parts_; }
-  uint64_t num_rows() const { return rows_; }
+  uint64_t num_rows() const {
+    uint64_t rows = 0;
+    for (const auto& p : parts) rows += p.rows;
+    return rows;
+  }
+
+  /// In global partition order; for a broadcast, one copy per worker.
+  std::vector<ShardPartition> parts;
+  /// A whole frame placed next to another frame's partitions
+  /// (Placement::Broadcast), not a partitioning of its own.
+  const bool broadcast;
 
  private:
   std::shared_ptr<Cluster> cluster_;
-  std::vector<ShardPartition> parts_;
-  uint64_t rows_ = 0;
 };
 
-Result<const ShardFrame*> PartsOf(const BackendValue& value) {
+Result<const ShardFrame*> FrameOf(const BackendValue& value) {
   auto* wrapped = dynamic_cast<ShardFrame*>(value.frame.get());
   if (wrapped == nullptr) {
     return Status::Invalid("foreign frame handle passed to shard backend");
@@ -77,12 +82,22 @@ Result<uint64_t> RowsOfOkReply(const Message& reply) {
   return rows;
 }
 
-Result<std::string_view> FrameBytesOfReply(const Message& reply) {
-  if (reply.type != MsgType::kFrameData) {
-    return Status::IOError("shard: expected frame data, got reply type " +
-                           std::to_string(static_cast<uint32_t>(reply.type)));
+/// Decodes kFrameData replies, in call order.
+Result<std::vector<df::DataFrame>> FramesOfReplies(
+    const std::vector<Message>& replies, MemoryTracker* tracker) {
+  std::vector<df::DataFrame> frames;
+  frames.reserve(replies.size());
+  for (const auto& reply : replies) {
+    if (reply.type != MsgType::kFrameData) {
+      return Status::IOError(
+          "shard: expected frame data, got reply type " +
+          std::to_string(static_cast<uint32_t>(reply.type)));
+    }
+    LAFP_ASSIGN_OR_RETURN(df::DataFrame frame,
+                          exec::DeserializeFrame(reply.payload, tracker));
+    frames.push_back(std::move(frame));
   }
-  return std::string_view(reply.payload);
+  return frames;
 }
 
 metrics::Counter* CallCounter() {
@@ -160,7 +175,7 @@ Status Cluster::SpawnWorker(int w) {
     for (const auto& other : workers_) {
       if (other.fd >= 0) ::close(other.fd);
     }
-    WorkerMain(sv[1], w);  // never returns
+    WorkerMain(sv[1]);  // never returns
   }
   ::close(sv[1]);
   Worker& slot = workers_[static_cast<size_t>(w)];
@@ -172,7 +187,7 @@ Status Cluster::SpawnWorker(int w) {
   return Status::OK();
 }
 
-void Cluster::MarkDead(int w) {
+void Cluster::KillWorker(int w) {
   Worker& worker = workers_[static_cast<size_t>(w)];
   if (!worker.alive) return;
   ::close(worker.fd);
@@ -183,8 +198,6 @@ void Cluster::MarkDead(int w) {
   ::waitpid(worker.pid, nullptr, 0);
   worker.alive = false;
 }
-
-void Cluster::KillWorker(int w) { MarkDead(w); }
 
 Status Cluster::EnsureAlive(int w) {
   if (workers_[static_cast<size_t>(w)].alive) return Status::OK();
@@ -207,7 +220,7 @@ Status Cluster::Send(int w, MsgType type, std::string_view payload) {
   CallCounter()->Increment();
   BytesCounter()->Add(static_cast<int64_t>(payload.size()));
   Status s = SendMessage(worker.fd, type, payload);
-  if (!s.ok()) MarkDead(w);
+  if (!s.ok()) KillWorker(w);
   return s;
 }
 
@@ -222,7 +235,7 @@ Result<Message> Cluster::Recv(int w) {
   }
   Result<Message> msg = RecvMessage(worker.fd);
   if (!msg.ok()) {
-    MarkDead(w);
+    KillWorker(w);
     return Status::IOError("shard worker " + std::to_string(w) +
                            " died mid-query: " + msg.status().message());
   }
@@ -235,13 +248,14 @@ void Cluster::QueueFree(int worker, uint64_t generation, uint64_t handle) {
   pending_frees_.push_back({worker, generation, handle});
 }
 
-void Cluster::FlushFrees() {
+std::vector<int64_t> Cluster::FlushFrees(bool probe_all) {
   std::vector<PendingFree> pending;
   {
     std::lock_guard<std::mutex> lock(free_mu_);
     pending.swap(pending_frees_);
   }
-  if (pending.empty()) return;
+  std::vector<int64_t> resident(workers_.size(), -1);
+  if (pending.empty() && !probe_all) return resident;
   // Group by worker; drop frees whose worker incarnation is gone (the
   // frame died with the process). Raw SendMessage/RecvMessage on purpose:
   // background bookkeeping must not consume fault-injection budgets armed
@@ -256,16 +270,22 @@ void Cluster::FlushFrees() {
       payload.U64(f.handle);
       ++n;
     }
-    if (n == 0) continue;
+    if (!worker.alive || (n == 0 && !probe_all)) continue;
     WireWriter msg;
     msg.U32(n);
     msg.Raw(std::string(payload.Take()));
-    if (!SendMessage(worker.fd, MsgType::kFreeFrames, msg.Take()).ok()) {
-      MarkDead(static_cast<int>(w));
+    Result<uint64_t> count = Status::IOError("shard: free failed");
+    if (SendMessage(worker.fd, MsgType::kFreeFrames, msg.Take()).ok()) {
+      Result<Message> reply = RecvMessage(worker.fd);
+      if (reply.ok()) count = RowsOfOkReply(*reply);
+    }
+    if (!count.ok()) {
+      KillWorker(static_cast<int>(w));
       continue;
     }
-    if (!RecvMessage(worker.fd).ok()) MarkDead(static_cast<int>(w));
+    resident[w] = static_cast<int64_t>(*count);
   }
+  return resident;
 }
 
 // ---------------------------------------------------------------------------
@@ -377,6 +397,17 @@ Status ShardBackend::ValidateLive(
   return Status::OK();
 }
 
+Result<std::vector<Message>> ShardBackend::RunAll(
+    const std::vector<WorkerCall>& calls) {
+  std::vector<Message> replies;
+  std::vector<Status> statuses;
+  LAFP_RETURN_NOT_OK(RunCalls(calls, &replies, &statuses));
+  for (const Status& s : statuses) {
+    if (!s.ok()) return s;
+  }
+  return replies;
+}
+
 Result<BackendValue> ShardBackend::Execute(
     const OpDesc& desc, const std::vector<BackendValue>& inputs) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -384,24 +415,37 @@ Result<BackendValue> ShardBackend::Execute(
   if (span.active()) span.AddArg("op", desc.ToString());
   LAFP_RETURN_NOT_OK(EnsureCluster());
   cluster_->FlushFrees();
-  switch (desc.kind) {
-    case OpKind::kReadCsv:
-    case OpKind::kReadLfc:
-      return ExecuteScan(desc);
-    case OpKind::kGroupByAgg:
-      return ExecuteGroupBy(desc, inputs[0]);
-    case OpKind::kReduce:
-    case OpKind::kLen:
-      return ExecuteReduce(desc, inputs[0]);
-    case OpKind::kMerge:
-      return ExecuteMerge(desc, inputs[0], inputs[1]);
-    default:
-      if (exec::IsMapOp(desc.kind)) return ExecuteMapOp(desc, inputs);
-      return ExecuteViaGather(desc, inputs);
-  }
+  return executor_.Execute(desc, inputs);
 }
 
-Result<BackendValue> ShardBackend::ExecuteScan(const OpDesc& desc) {
+Result<EagerValue> ShardBackend::Materialize(const BackendValue& value) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (cluster_ == nullptr) {
+    return Status::Invalid("shard: materialize before any execution");
+  }
+  return executor_.Materialize(value);
+}
+
+Result<BackendValue> ShardBackend::FromEager(const EagerValue& value) {
+  std::lock_guard<std::mutex> lock(mu_);
+  LAFP_RETURN_NOT_OK(EnsureCluster());
+  return executor_.FromEager(value);
+}
+
+int64_t ShardBackend::RowCount(const BackendValue& value) const {
+  if (value.is_scalar) return 1;
+  auto* wrapped = dynamic_cast<ShardFrame*>(value.frame.get());
+  if (wrapped == nullptr) return -1;
+  return static_cast<int64_t>(wrapped->num_rows());
+}
+
+std::vector<int64_t> ShardBackend::ResidentFrames() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (cluster_ == nullptr) return {};
+  return cluster_->FlushFrees(/*probe_all=*/true);
+}
+
+Result<BackendValue> ShardBackend::Scan(const OpDesc& desc) {
   const int nw = cluster_->num_workers();
   for (int w = 0; w < nw; ++w) {
     LAFP_RETURN_NOT_OK(cluster_->EnsureAlive(w));
@@ -414,12 +458,47 @@ Result<BackendValue> ShardBackend::ExecuteScan(const OpDesc& desc) {
     payload.U64(config_.partition_rows);
     return WorkerCall{w, MsgType::kScan, payload.Take()};
   };
+  // Workers mint the scan handles; `minted` owns each one the moment a
+  // reply names it, and `global` records its global partition index.
+  auto minted = std::make_shared<ShardFrame>(cluster_);
+  std::vector<uint64_t> global;
+  uint64_t total = 0;
+  auto adopt = [&](int w, const Message& reply) -> Status {
+    if (reply.type != MsgType::kScanResult) {
+      return Status::IOError("shard: scan reply had unexpected type");
+    }
+    WireReader r(reply.payload);
+    uint64_t wtotal = 0;
+    uint32_t nlocal = 0;
+    if (!r.U64(&wtotal) || !r.U32(&nlocal)) return r.Error("scan result");
+    for (uint32_t j = 0; j < nlocal; ++j) {
+      uint64_t g = 0, handle = 0, rows = 0;
+      if (!r.U64(&g) || !r.U64(&handle) || !r.U64(&rows)) {
+        return r.Error("scan partition entry");
+      }
+      minted->parts.push_back({rows, w, cluster_->generation(w), handle});
+      global.push_back(g);
+    }
+    if (total != 0 && wtotal != total) {
+      return Status::ExecutionError(
+          "shard: workers disagreed on scan partition count");
+    }
+    total = wtotal;
+    return Status::OK();
+  };
   std::vector<WorkerCall> calls;
-  calls.reserve(static_cast<size_t>(nw));
   for (int w = 0; w < nw; ++w) calls.push_back(make_call(w));
   std::vector<Message> replies;
   std::vector<Status> statuses;
-  LAFP_RETURN_NOT_OK(RunCalls(calls, &replies, &statuses));
+  Status run = RunCalls(calls, &replies, &statuses);
+  Status adopted = Status::OK();
+  for (size_t i = 0; i < calls.size(); ++i) {
+    if (!statuses[i].ok()) continue;
+    Status s = adopt(calls[i].worker, replies[i]);
+    if (adopted.ok()) adopted = std::move(s);
+  }
+  LAFP_RETURN_NOT_OK(run);
+  LAFP_RETURN_NOT_OK(adopted);
   // Scans are idempotent (they reference only the on-disk source), so a
   // worker lost mid-scan gets respawned and retried exactly once — the
   // transparent half of the failure contract.
@@ -429,353 +508,144 @@ Result<BackendValue> ShardBackend::ExecuteScan(const OpDesc& desc) {
     RetryCounter()->Increment();
     Status respawn = cluster_->EnsureAlive(w);
     if (!respawn.ok()) return statuses[i];
-    std::vector<Message> retry_replies;
-    std::vector<Status> retry_statuses;
-    LAFP_RETURN_NOT_OK(
-        RunCalls({make_call(w)}, &retry_replies, &retry_statuses));
-    if (!retry_statuses[0].ok()) return retry_statuses[0];
-    replies[i] = std::move(retry_replies[0]);
-    statuses[i] = Status::OK();
+    LAFP_ASSIGN_OR_RETURN(std::vector<Message> retry,
+                          RunAll({make_call(w)}));
+    LAFP_RETURN_NOT_OK(adopt(w, retry[0]));
   }
-  uint64_t total = 0;
-  bool total_known = false;
-  std::vector<ShardPartition> parts;
-  std::vector<bool> seen;
-  for (size_t i = 0; i < replies.size(); ++i) {
-    const int w = calls[i].worker;
-    if (replies[i].type != MsgType::kScanResult) {
-      return Status::IOError("shard: scan reply had unexpected type");
-    }
-    WireReader r(replies[i].payload);
-    uint64_t wtotal = 0;
-    uint32_t nlocal = 0;
-    if (!r.U64(&wtotal) || !r.U32(&nlocal)) return r.Error("scan result");
-    if (!total_known) {
-      total = wtotal;
-      total_known = true;
-      if (total == 0 || total > (1u << 22)) {
-        return Status::IOError("shard: implausible scan partition count");
-      }
-      parts.resize(static_cast<size_t>(total));
-      seen.assign(static_cast<size_t>(total), false);
-    } else if (wtotal != total) {
+  if (total == 0 || total > (1u << 22) || global.size() != total) {
+    return Status::ExecutionError("shard: scan reported " +
+                                  std::to_string(global.size()) + " of " +
+                                  std::to_string(total) + " partitions");
+  }
+  std::vector<ShardPartition> ordered(static_cast<size_t>(total));
+  std::vector<bool> seen(static_cast<size_t>(total), false);
+  for (size_t k = 0; k < global.size(); ++k) {
+    const uint64_t g = global[k];
+    if (g >= total || seen[static_cast<size_t>(g)]) {
       return Status::ExecutionError(
-          "shard: workers disagreed on scan partition count");
+          "shard: scan produced an inconsistent partition assignment");
     }
-    for (uint32_t j = 0; j < nlocal; ++j) {
-      uint64_t g = 0, handle = 0, rows = 0;
-      if (!r.U64(&g) || !r.U64(&handle) || !r.U64(&rows)) {
-        return r.Error("scan partition entry");
-      }
-      if (g >= total || seen[static_cast<size_t>(g)]) {
-        return Status::ExecutionError(
-            "shard: scan produced an inconsistent partition assignment");
-      }
-      seen[static_cast<size_t>(g)] = true;
-      parts[static_cast<size_t>(g)] = {rows, w, cluster_->generation(w),
-                                       handle};
-    }
+    seen[static_cast<size_t>(g)] = true;
+    ordered[static_cast<size_t>(g)] = minted->parts[k];
   }
-  for (size_t g = 0; g < parts.size(); ++g) {
-    if (!seen[g]) {
-      return Status::ExecutionError("shard: scan partition " +
-                                    std::to_string(g) + " was never claimed");
-    }
-  }
-  return BackendValue::Frame(
-      std::make_shared<ShardFrame>(cluster_, std::move(parts)));
+  minted->parts.swap(ordered);
+  return BackendValue::Frame(std::move(minted));
 }
 
-Result<BackendValue> ShardBackend::ExecuteMapOp(
+Result<BackendValue> ShardBackend::Map(
     const OpDesc& desc, const std::vector<BackendValue>& inputs) {
-  LAFP_ASSIGN_OR_RETURN(const ShardFrame* primary, PartsOf(inputs[0]));
-  LAFP_RETURN_NOT_OK(ValidateLive(primary->parts()));
-  const ShardFrame* secondary = nullptr;
-  df::Scalar runtime_scalar;
-  bool second_is_scalar = false;
-  if (inputs.size() > 1) {
-    if (inputs[1].is_scalar) {
-      second_is_scalar = true;
-      runtime_scalar = inputs[1].scalar;
-    } else {
-      LAFP_ASSIGN_OR_RETURN(secondary, PartsOf(inputs[1]));
-      const auto& pp = primary->parts();
-      const auto& sp = secondary->parts();
-      bool aligned = pp.size() == sp.size();
-      for (size_t i = 0; aligned && i < pp.size(); ++i) {
-        aligned = pp[i].worker == sp[i].worker &&
-                  pp[i].generation == sp[i].generation;
-      }
-      if (!aligned) {
-        // Misaligned partitioning (e.g. one side re-scattered after a
-        // fallback): gather-and-run is the correctness path.
-        return ExecuteViaGather(desc, inputs);
-      }
-      LAFP_RETURN_NOT_OK(ValidateLive(sp));
-    }
+  std::vector<const ShardFrame*> frames(inputs.size(), nullptr);
+  for (size_t k = 0; k < inputs.size(); ++k) {
+    if (k > 0 && inputs[k].is_scalar) continue;
+    LAFP_ASSIGN_OR_RETURN(frames[k], FrameOf(inputs[k]));
+    LAFP_RETURN_NOT_OK(ValidateLive(frames[k]->parts));
   }
-  const auto& pp = primary->parts();
+  const auto& pp = frames[0]->parts;
+  auto out = std::make_shared<ShardFrame>(cluster_);
   std::vector<WorkerCall> calls;
-  std::vector<uint64_t> out_handles;
   calls.reserve(pp.size());
   for (size_t i = 0; i < pp.size(); ++i) {
-    const uint64_t out = cluster_->NextHandle();
-    out_handles.push_back(out);
+    const uint64_t handle = cluster_->NextHandle();
+    out->parts.push_back({0, pp[i].worker, pp[i].generation, handle});
     WireWriter payload;
     EncodeOpDesc(desc, &payload);
-    payload.U64(out);
-    uint32_t ninputs = 1;
-    if (secondary != nullptr || second_is_scalar) ninputs = 2;
-    payload.U32(ninputs);
-    payload.U8(0);
-    payload.U64(pp[i].handle);
-    if (secondary != nullptr) {
+    payload.U64(handle);
+    payload.U32(static_cast<uint32_t>(inputs.size()));
+    for (size_t k = 0; k < inputs.size(); ++k) {
+      if (frames[k] == nullptr) {
+        payload.U8(1);
+        EncodeScalar(inputs[k].scalar, &payload);
+        continue;
+      }
+      const auto& parts = frames[k]->parts;
+      auto src = frames[k]->broadcast
+                     ? std::find_if(parts.begin(), parts.end(),
+                                    [&](const ShardPartition& p) {
+                                      return p.worker == pp[i].worker;
+                                    })
+                     : parts.begin() + static_cast<ptrdiff_t>(i);
+      if (src == parts.end()) {
+        return Status::Invalid("shard: broadcast missing on a worker");
+      }
       payload.U8(0);
-      payload.U64(secondary->parts()[i].handle);
-    } else if (second_is_scalar) {
-      payload.U8(1);
-      EncodeScalar(runtime_scalar, &payload);
+      payload.U64(src->handle);
     }
     calls.push_back({pp[i].worker, MsgType::kExecOp, payload.Take()});
   }
-  std::vector<Message> replies;
-  std::vector<Status> statuses;
-  Status run = RunCalls(calls, &replies, &statuses);
-  auto free_outputs = [&] {
-    for (size_t i = 0; i < out_handles.size(); ++i) {
-      cluster_->QueueFree(pp[i].worker, pp[i].generation, out_handles[i]);
-    }
-  };
-  if (!run.ok()) {
-    free_outputs();
-    return run;
+  LAFP_ASSIGN_OR_RETURN(std::vector<Message> replies, RunAll(calls));
+  for (size_t i = 0; i < replies.size(); ++i) {
+    LAFP_ASSIGN_OR_RETURN(out->parts[i].rows, RowsOfOkReply(replies[i]));
   }
-  for (const Status& s : statuses) {
-    if (!s.ok()) {
-      free_outputs();
-      return s;
-    }
-  }
-  std::vector<ShardPartition> out_parts;
-  out_parts.reserve(pp.size());
-  for (size_t i = 0; i < pp.size(); ++i) {
-    LAFP_ASSIGN_OR_RETURN(uint64_t rows, RowsOfOkReply(replies[i]));
-    out_parts.push_back(
-        {rows, pp[i].worker, pp[i].generation, out_handles[i]});
-  }
-  return BackendValue::Frame(
-      std::make_shared<ShardFrame>(cluster_, std::move(out_parts)));
+  return BackendValue::Frame(std::move(out));
 }
 
-Result<BackendValue> ShardBackend::ExecuteGroupBy(const OpDesc& desc,
-                                                  const BackendValue& input) {
-  LAFP_ASSIGN_OR_RETURN(const ShardFrame* frame, PartsOf(input));
-  exec::GroupByCombiner combiner(desc.columns, desc.aggs);
-  if (!combiner.supported()) {
-    // nunique does not decompose into partials; gather and run whole.
-    return ExecuteViaGather(desc, {input});
-  }
-  LAFP_RETURN_NOT_OK(ValidateLive(frame->parts()));
+Result<std::vector<df::DataFrame>> ShardBackend::Partials(
+    const OpDesc& desc, const BackendValue& input) {
+  LAFP_ASSIGN_OR_RETURN(const ShardFrame* frame, FrameOf(input));
+  LAFP_RETURN_NOT_OK(ValidateLive(frame->parts));
   std::vector<WorkerCall> calls;
-  for (const auto& p : frame->parts()) {
-    WireWriter payload;
-    payload.U64(p.handle);
-    payload.U32(static_cast<uint32_t>(desc.columns.size()));
-    for (const auto& k : desc.columns) payload.Str(k);
-    payload.U32(static_cast<uint32_t>(desc.aggs.size()));
-    for (const auto& a : desc.aggs) {
-      payload.Str(a.column);
-      payload.U8(static_cast<uint8_t>(a.func));
-      payload.Str(a.out_name);
-    }
-    calls.push_back({p.worker, MsgType::kGroupByPartial, payload.Take()});
-  }
-  std::vector<Message> replies;
-  std::vector<Status> statuses;
-  LAFP_RETURN_NOT_OK(RunCalls(calls, &replies, &statuses));
-  for (const Status& s : statuses) {
-    if (!s.ok()) return s;
-  }
-  // Fold partials in global partition order: first-appearance group order
-  // (and therefore bytes) matches the single-process two-phase path.
-  for (const auto& reply : replies) {
-    LAFP_ASSIGN_OR_RETURN(std::string_view bytes, FrameBytesOfReply(reply));
-    LAFP_ASSIGN_OR_RETURN(df::DataFrame partial,
-                          exec::DeserializeFrame(bytes, tracker_));
-    LAFP_RETURN_NOT_OK(combiner.AddPartial(std::move(partial)));
-  }
-  LAFP_ASSIGN_OR_RETURN(df::DataFrame result, combiner.Finish());
-  return ScatterFrame(result);
-}
-
-Result<BackendValue> ShardBackend::ExecuteReduce(const OpDesc& desc,
-                                                 const BackendValue& input) {
-  LAFP_ASSIGN_OR_RETURN(const ShardFrame* frame, PartsOf(input));
-  if (desc.kind == OpKind::kLen) {
-    return BackendValue::FromScalar(
-        df::Scalar::Int(static_cast<int64_t>(frame->num_rows())));
-  }
-  LAFP_RETURN_NOT_OK(ValidateLive(frame->parts()));
-  LAFP_ASSIGN_OR_RETURN(std::vector<df::DataFrame> parts,
-                        GatherParts(frame->parts()));
-  exec::ReduceCombiner combiner(desc.agg_func);
-  for (const auto& part : parts) {
-    LAFP_RETURN_NOT_OK(combiner.AddPartition(part));
-  }
-  LAFP_ASSIGN_OR_RETURN(df::Scalar out, combiner.Finish());
-  return BackendValue::FromScalar(std::move(out));
-}
-
-Result<BackendValue> ShardBackend::ExecuteMerge(const OpDesc& desc,
-                                                const BackendValue& left,
-                                                const BackendValue& right) {
-  LAFP_ASSIGN_OR_RETURN(const ShardFrame* lframe, PartsOf(left));
-  LAFP_RETURN_NOT_OK(ValidateLive(lframe->parts()));
-  // Broadcast join: the right side is gathered whole and shipped once to
-  // every worker holding a left partition.
-  LAFP_ASSIGN_OR_RETURN(EagerValue right_full, MaterializeLocked(right));
-  if (right_full.is_scalar) {
-    return Status::Invalid("shard: merge right side must be a frame");
-  }
-  LAFP_ASSIGN_OR_RETURN(std::string right_bytes,
-                        exec::SerializeFrame(right_full.frame));
-  const auto& pp = lframe->parts();
-  std::vector<int> bcast_workers;
-  std::vector<uint64_t> bcast_handles(static_cast<size_t>(kMaxShards), 0);
-  std::vector<WorkerCall> puts;
-  for (const auto& p : pp) {
-    if (bcast_handles[static_cast<size_t>(p.worker)] != 0) continue;
-    const uint64_t handle = cluster_->NextHandle();
-    bcast_handles[static_cast<size_t>(p.worker)] = handle;
-    bcast_workers.push_back(p.worker);
-    WireWriter payload;
-    payload.U64(handle);
-    payload.Raw(right_bytes);
-    puts.push_back({p.worker, MsgType::kPutFrame, payload.Take()});
-  }
-  std::vector<Message> replies;
-  std::vector<Status> statuses;
-  auto free_broadcasts = [&] {
-    for (int w : bcast_workers) {
-      cluster_->QueueFree(w, cluster_->generation(w),
-                          bcast_handles[static_cast<size_t>(w)]);
-    }
-  };
-  Status run = RunCalls(puts, &replies, &statuses);
-  if (!run.ok()) {
-    free_broadcasts();
-    return run;
-  }
-  for (const Status& s : statuses) {
-    if (!s.ok()) {
-      free_broadcasts();
-      return s;
-    }
-  }
-  std::vector<WorkerCall> joins;
-  std::vector<uint64_t> out_handles;
-  for (const auto& p : pp) {
-    const uint64_t out = cluster_->NextHandle();
-    out_handles.push_back(out);
+  for (const auto& p : frame->parts) {
     WireWriter payload;
     EncodeOpDesc(desc, &payload);
-    payload.U64(out);
-    payload.U32(2);
-    payload.U8(0);
     payload.U64(p.handle);
-    payload.U8(0);
-    payload.U64(bcast_handles[static_cast<size_t>(p.worker)]);
-    joins.push_back({p.worker, MsgType::kExecOp, payload.Take()});
+    calls.push_back({p.worker, MsgType::kPartial, payload.Take()});
   }
-  run = RunCalls(joins, &replies, &statuses);
-  free_broadcasts();  // the broadcast copies are dead weight either way
-  auto free_outputs = [&] {
-    for (size_t i = 0; i < out_handles.size(); ++i) {
-      cluster_->QueueFree(pp[i].worker, pp[i].generation, out_handles[i]);
-    }
-  };
-  if (!run.ok()) {
-    free_outputs();
-    return run;
-  }
-  for (const Status& s : statuses) {
-    if (!s.ok()) {
-      free_outputs();
-      return s;
-    }
-  }
-  std::vector<ShardPartition> out_parts;
-  for (size_t i = 0; i < pp.size(); ++i) {
-    LAFP_ASSIGN_OR_RETURN(uint64_t rows, RowsOfOkReply(replies[i]));
-    out_parts.push_back(
-        {rows, pp[i].worker, pp[i].generation, out_handles[i]});
-  }
-  return BackendValue::Frame(
-      std::make_shared<ShardFrame>(cluster_, std::move(out_parts)));
+  LAFP_ASSIGN_OR_RETURN(std::vector<Message> replies, RunAll(calls));
+  return FramesOfReplies(replies, tracker_);
 }
 
-Result<BackendValue> ShardBackend::ExecuteViaGather(
-    const OpDesc& desc, const std::vector<BackendValue>& inputs) {
-  // Ops outside the distributed vocabulary (sorts, dedup, concat, head,
-  // describe, ...) gather to the coordinator and run the eager kernel,
-  // preserving the engine's fallback semantics bit for bit.
-  std::vector<EagerValue> eager_inputs;
-  for (const auto& in : inputs) {
-    LAFP_ASSIGN_OR_RETURN(EagerValue v, MaterializeLocked(in));
-    eager_inputs.push_back(std::move(v));
+Result<BackendValue> ShardBackend::Broadcast(const df::DataFrame& frame,
+                                             const BackendValue& near) {
+  LAFP_ASSIGN_OR_RETURN(const ShardFrame* target, FrameOf(near));
+  LAFP_RETURN_NOT_OK(ValidateLive(target->parts));
+  LAFP_ASSIGN_OR_RETURN(std::string bytes, exec::SerializeFrame(frame));
+  // One copy per worker that holds a partition of `near`.
+  auto out = std::make_shared<ShardFrame>(cluster_, /*broadcast=*/true);
+  std::vector<WorkerCall> puts;
+  for (const auto& p : target->parts) {
+    if (std::any_of(out->parts.begin(), out->parts.end(),
+                    [&](const ShardPartition& c) {
+                      return c.worker == p.worker;
+                    })) {
+      continue;
+    }
+    const uint64_t handle = cluster_->NextHandle();
+    out->parts.push_back({frame.num_rows(), p.worker, p.generation, handle});
+    WireWriter payload;
+    payload.U64(handle);
+    payload.Raw(bytes);
+    puts.push_back({p.worker, MsgType::kPutFrame, payload.Take()});
   }
-  LAFP_ASSIGN_OR_RETURN(EagerValue out,
-                        exec::ExecuteEagerOp(desc, eager_inputs, tracker_));
-  return FromEagerLocked(out);
+  LAFP_RETURN_NOT_OK(RunAll(puts).status());
+  return BackendValue::Frame(std::move(out));
 }
 
-Result<std::vector<df::DataFrame>> ShardBackend::GatherParts(
-    const std::vector<ShardPartition>& parts) {
+Result<df::DataFrame> ShardBackend::Gather(const BackendValue& value) {
+  LAFP_ASSIGN_OR_RETURN(const ShardFrame* frame, FrameOf(value));
+  LAFP_RETURN_NOT_OK(ValidateLive(frame->parts));
   std::vector<WorkerCall> calls;
-  for (const auto& p : parts) {
+  for (const auto& p : frame->parts) {
     WireWriter payload;
     payload.U64(p.handle);
     calls.push_back({p.worker, MsgType::kGetFrame, payload.Take()});
   }
-  std::vector<Message> replies;
-  std::vector<Status> statuses;
-  LAFP_RETURN_NOT_OK(RunCalls(calls, &replies, &statuses));
-  for (const Status& s : statuses) {
-    if (!s.ok()) return s;
-  }
-  std::vector<df::DataFrame> frames;
-  frames.reserve(parts.size());
-  for (const auto& reply : replies) {
-    LAFP_ASSIGN_OR_RETURN(std::string_view bytes, FrameBytesOfReply(reply));
-    LAFP_ASSIGN_OR_RETURN(df::DataFrame frame,
-                          exec::DeserializeFrame(bytes, tracker_));
-    frames.push_back(std::move(frame));
-  }
-  return frames;
-}
-
-Result<EagerValue> ShardBackend::MaterializeLocked(const BackendValue& value) {
-  if (value.is_scalar) return EagerValue::FromScalar(value.scalar);
-  LAFP_ASSIGN_OR_RETURN(const ShardFrame* frame, PartsOf(value));
-  LAFP_RETURN_NOT_OK(ValidateLive(frame->parts()));
+  LAFP_ASSIGN_OR_RETURN(std::vector<Message> replies, RunAll(calls));
   LAFP_ASSIGN_OR_RETURN(std::vector<df::DataFrame> frames,
-                        GatherParts(frame->parts()));
+                        FramesOfReplies(replies, tracker_));
   // Mirror PartitionedFrame::ToEager: a single partition passes through,
   // several concatenate — byte-identical to the other backends.
-  if (frames.size() == 1) return EagerValue::Frame(std::move(frames[0]));
-  LAFP_ASSIGN_OR_RETURN(df::DataFrame whole, df::Concat(frames));
-  return EagerValue::Frame(std::move(whole));
+  if (frames.size() == 1) return std::move(frames[0]);
+  return df::Concat(frames);
 }
 
-Result<BackendValue> ShardBackend::ScatterFrame(const df::DataFrame& frame) {
+Result<BackendValue> ShardBackend::Scatter(const df::DataFrame& frame) {
   LAFP_ASSIGN_OR_RETURN(
       exec::PartitionedFrame chunks,
       exec::PartitionedFrame::FromEager(frame, config_.partition_rows));
   const int nw = cluster_->num_workers();
-  const size_t np = chunks.num_partitions();
+  auto out = std::make_shared<ShardFrame>(cluster_);
   std::vector<WorkerCall> calls;
-  std::vector<ShardPartition> parts;
-  for (size_t i = 0; i < np; ++i) {
+  for (size_t i = 0; i < chunks.num_partitions(); ++i) {
     // Same placement rule as scans (global index mod N), so re-scattered
     // frames stay aligned with scanned frames of equal geometry.
     const int w = static_cast<int>(i % static_cast<size_t>(nw));
@@ -783,53 +653,45 @@ Result<BackendValue> ShardBackend::ScatterFrame(const df::DataFrame& frame) {
     LAFP_ASSIGN_OR_RETURN(df::DataFrame chunk, chunks.partition(i, tracker_));
     LAFP_ASSIGN_OR_RETURN(std::string bytes, exec::SerializeFrame(chunk));
     const uint64_t handle = cluster_->NextHandle();
+    out->parts.push_back(
+        {chunk.num_rows(), w, cluster_->generation(w), handle});
     WireWriter payload;
     payload.U64(handle);
     payload.Raw(bytes);
     calls.push_back({w, MsgType::kPutFrame, payload.Take()});
-    parts.push_back({chunk.num_rows(), w, cluster_->generation(w), handle});
   }
-  std::vector<Message> replies;
-  std::vector<Status> statuses;
-  LAFP_RETURN_NOT_OK(RunCalls(calls, &replies, &statuses));
-  for (const Status& s : statuses) {
-    if (!s.ok()) return s;
-  }
-  for (size_t i = 0; i < parts.size(); ++i) {
+  LAFP_ASSIGN_OR_RETURN(std::vector<Message> replies, RunAll(calls));
+  for (size_t i = 0; i < replies.size(); ++i) {
     LAFP_ASSIGN_OR_RETURN(uint64_t rows, RowsOfOkReply(replies[i]));
-    if (rows != parts[i].rows) {
+    if (rows != out->parts[i].rows) {
       return Status::ExecutionError(
           "shard: scatter round-trip changed a partition's row count");
     }
   }
-  return BackendValue::Frame(
-      std::make_shared<ShardFrame>(cluster_, std::move(parts)));
+  return BackendValue::Frame(std::move(out));
 }
 
-Result<EagerValue> ShardBackend::Materialize(const BackendValue& value) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (cluster_ == nullptr) {
-    return Status::Invalid("shard: materialize before any execution");
+Result<BackendValue> ShardBackend::PlaceResult(df::DataFrame frame) {
+  return Scatter(frame);
+}
+
+Result<bool> ShardBackend::Aligned(const BackendValue& a,
+                                   const BackendValue& b) const {
+  LAFP_ASSIGN_OR_RETURN(const ShardFrame* fa, FrameOf(a));
+  LAFP_ASSIGN_OR_RETURN(const ShardFrame* fb, FrameOf(b));
+  if (fb->broadcast || fa->parts.size() != fb->parts.size()) return false;
+  for (size_t i = 0; i < fa->parts.size(); ++i) {
+    if (fa->parts[i].worker != fb->parts[i].worker ||
+        fa->parts[i].generation != fb->parts[i].generation) {
+      return false;
+    }
   }
-  return MaterializeLocked(value);
+  return true;
 }
 
-Result<BackendValue> ShardBackend::FromEager(const EagerValue& value) {
-  std::lock_guard<std::mutex> lock(mu_);
-  LAFP_RETURN_NOT_OK(EnsureCluster());
-  return FromEagerLocked(value);
-}
-
-Result<BackendValue> ShardBackend::FromEagerLocked(const EagerValue& value) {
-  if (value.is_scalar) return BackendValue::FromScalar(value.scalar);
-  return ScatterFrame(value.frame);
-}
-
-int64_t ShardBackend::RowCount(const BackendValue& value) const {
-  if (value.is_scalar) return 1;
-  auto* wrapped = dynamic_cast<ShardFrame*>(value.frame.get());
-  if (wrapped == nullptr) return -1;
-  return static_cast<int64_t>(wrapped->num_rows());
+Result<EagerValue> ShardBackend::RunWhole(
+    const OpDesc& desc, const std::vector<EagerValue>& inputs) {
+  return exec::ExecuteEagerOp(desc, inputs, tracker_);
 }
 
 }  // namespace lafp::shard

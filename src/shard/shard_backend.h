@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "exec/backend.h"
+#include "exec/partitioned_executor.h"
 #include "shard/wire.h"
 
 namespace lafp::shard {
@@ -58,8 +59,10 @@ class Cluster {
   /// calls happen on the coordinator thread via FlushFrees.
   void QueueFree(int worker, uint64_t generation, uint64_t handle);
 
-  /// Drain queued frees (best-effort; coordinator thread only).
-  void FlushFrees();
+  /// Drain queued frees (best-effort; coordinator thread only). Returns
+  /// each worker's resident frame count, -1 where no reply was read;
+  /// `probe_all` asks every live worker even with nothing to free.
+  std::vector<int64_t> FlushFrees(bool probe_all = false);
 
  private:
   Cluster() = default;
@@ -72,7 +75,6 @@ class Cluster {
   };
 
   Status SpawnWorker(int w);
-  void MarkDead(int w);
 
   std::vector<Worker> workers_;
   uint64_t next_handle_ = 1;
@@ -98,17 +100,13 @@ struct ShardPartition {
 };
 
 /// Shared-nothing multi-process backend (paper §2.6 taken across process
-/// boundaries): a coordinator forks N single-threaded workers, scans
-/// partition across them (global chunk index mod N), map ops run where
-/// their partition lives, group-bys run as distributed two-phase
-/// aggregation (exec/agg_twophase.h) with partials shipped back and
-/// folded in global partition order, and merges broadcast the right side.
-/// Frames cross the socket in the hardened spill stream format
-/// (exec/spill.h). Ops outside the distributed vocabulary gather to the
-/// coordinator, run the eager kernel, and re-scatter — the same
-/// transparent-fallback contract as the other backends, so results are
-/// byte-identical to the single-process engines for any shard count.
-class ShardBackend : public exec::Backend {
+/// boundaries), the forked-process placement of exec::PartitionedExecutor:
+/// a coordinator forks N single-threaded workers, scans partition across
+/// them (global chunk index mod N), and per-partition work and two-phase
+/// partials run where the partition lives. Frames cross the socket in the
+/// hardened spill stream format (exec/spill.h). Results are byte-identical
+/// to the single-process engines for any shard count.
+class ShardBackend : public exec::Backend, private exec::Placement {
  public:
   ShardBackend(MemoryTracker* tracker, const exec::BackendConfig& config);
   ~ShardBackend() override;
@@ -125,6 +123,10 @@ class ShardBackend : public exec::Backend {
   Result<exec::BackendValue> FromEager(
       const exec::EagerValue& value) override;
   int64_t RowCount(const exec::BackendValue& value) const override;
+
+  /// Frames resident on each worker after queued frees are drained (-1
+  /// for a dead worker; empty before the first execution). A leak check.
+  std::vector<int64_t> ResidentFrames();
 
  private:
   struct WorkerCall {
@@ -145,40 +147,39 @@ class ShardBackend : public exec::Backend {
   Status RunCalls(const std::vector<WorkerCall>& calls,
                   std::vector<Message>* replies,
                   std::vector<Status>* statuses);
-
-  Result<exec::BackendValue> ExecuteScan(const exec::OpDesc& desc);
-  Result<exec::BackendValue> ExecuteMapOp(
-      const exec::OpDesc& desc,
-      const std::vector<exec::BackendValue>& inputs);
-  Result<exec::BackendValue> ExecuteGroupBy(const exec::OpDesc& desc,
-                                            const exec::BackendValue& input);
-  Result<exec::BackendValue> ExecuteReduce(const exec::OpDesc& desc,
-                                           const exec::BackendValue& input);
-  Result<exec::BackendValue> ExecuteMerge(const exec::OpDesc& desc,
-                                          const exec::BackendValue& left,
-                                          const exec::BackendValue& right);
-  Result<exec::BackendValue> ExecuteViaGather(
-      const exec::OpDesc& desc,
-      const std::vector<exec::BackendValue>& inputs);
-
-  Result<exec::EagerValue> MaterializeLocked(const exec::BackendValue& value);
-  Result<exec::BackendValue> FromEagerLocked(const exec::EagerValue& value);
-  Result<exec::BackendValue> ScatterFrame(const df::DataFrame& frame);
+  /// RunCalls that fails with the first failed call's Status.
+  Result<std::vector<Message>> RunAll(const std::vector<WorkerCall>& calls);
 
   /// All partitions must be on live workers of the current generation;
   /// otherwise the data died with a worker and the op fails cleanly.
   Status ValidateLive(const std::vector<ShardPartition>& parts) const;
 
-  /// Gather a sharded frame's partitions to the coordinator, in global
-  /// partition order.
-  Result<std::vector<df::DataFrame>> GatherParts(
-      const std::vector<ShardPartition>& parts);
+  // Placement over the worker processes. Every handle a call mints is
+  // owned by a frame before any status is checked, so a failed op's
+  // frame queues the remote frees when it is dropped.
+  Result<exec::BackendValue> Scan(const exec::OpDesc& desc) override;
+  Result<exec::BackendValue> Map(
+      const exec::OpDesc& desc,
+      const std::vector<exec::BackendValue>& inputs) override;
+  Result<std::vector<df::DataFrame>> Partials(
+      const exec::OpDesc& desc, const exec::BackendValue& input) override;
+  Result<exec::BackendValue> Broadcast(
+      const df::DataFrame& frame, const exec::BackendValue& near) override;
+  Result<df::DataFrame> Gather(const exec::BackendValue& value) override;
+  Result<exec::BackendValue> Scatter(const df::DataFrame& frame) override;
+  Result<exec::BackendValue> PlaceResult(df::DataFrame frame) override;
+  Result<bool> Aligned(const exec::BackendValue& a,
+                       const exec::BackendValue& b) const override;
+  Result<exec::EagerValue> RunWhole(
+      const exec::OpDesc& desc,
+      const std::vector<exec::EagerValue>& inputs) override;
 
   /// Serializes coordinator-side protocol state: Execute, Materialize and
   /// FromEager may race from scheduler workers, but the mailbox admits
   /// one query at a time.
   std::mutex mu_;
   std::shared_ptr<Cluster> cluster_;
+  exec::PartitionedExecutor executor_{this};
 };
 
 }  // namespace lafp::shard

@@ -24,10 +24,9 @@
 ///   kScan:           OpDesc | u32 worker_index | u32 num_workers
 ///                    | u64 partition_rows
 ///   kExecOp:         OpDesc | u64 out_handle | u32 ninputs
-///                    | per input: u8 tag (0 = u64 handle, 1 = Scalar,
-///                      2 = u64 len + frame bytes)
-///   kGroupByPartial: u64 handle | u32 nkeys x str
-///                    | u32 naggs x (str column, u8 func, str out_name)
+///                    | per input: u8 tag (0 = u64 handle, 1 = Scalar)
+///   kPartial:        OpDesc (kGroupByAgg or kReduce) | u64 handle;
+///                    the worker replies with PartialOf(desc, frame)
 ///   kPutFrame:       u64 handle | frame bytes (rest of payload)
 ///   kGetFrame:       u64 handle
 ///   kFreeFrames:     u32 n x u64 handle
@@ -35,7 +34,8 @@
 ///
 /// Reply payloads (worker -> coordinator); every request except
 /// kShutdown gets exactly one reply:
-///   kOk:         u64 rows (of the stored/affected frame; 0 for frees)
+///   kOk:         u64 rows (of the stored frame; for kFreeFrames, the
+///                frames still resident on the worker)
 ///   kFrameData:  frame bytes
 ///   kScanResult: u64 total_partitions | u32 nlocal
 ///                | nlocal x (u64 global_index, u64 handle, u64 rows)
@@ -58,7 +58,7 @@ enum class MsgType : uint32_t {
   // Requests.
   kScan = 1,
   kExecOp = 2,
-  kGroupByPartial = 3,
+  kPartial = 3,
   kPutFrame = 4,
   kGetFrame = 5,
   kFreeFrames = 6,
@@ -122,10 +122,8 @@ class WireReader {
   bool Str(std::string* out);
 
   size_t remaining() const { return data_.size() - pos_; }
-  bool Done() const { return pos_ == data_.size(); }
   /// The unread tail (used for trailing frame-bytes payloads).
   std::string_view Rest() const { return data_.substr(pos_); }
-  void SkipRest() { pos_ = data_.size(); }
 
   Status Error(const char* what) const {
     return Status::IOError(std::string("shard wire: truncated ") + what);

@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -12,11 +11,9 @@
 #include "common/fault.h"
 #include "common/macros.h"
 #include "common/memory_tracker.h"
-#include "exec/agg_twophase.h"
 #include "exec/eager_ops.h"
+#include "exec/partitioned_executor.h"
 #include "exec/spill.h"
-#include "io/columnar.h"
-#include "io/csv.h"
 #include "shard/wire.h"
 
 namespace lafp::shard {
@@ -27,7 +24,6 @@ namespace {
 /// dataframes. Coordinator-assigned handles count up from 1; handles the
 /// worker mints during scans live above kWorkerHandleBase.
 struct WorkerState {
-  int worker_index = 0;
   MemoryTracker tracker{0};  // workers budget independently of the parent
   std::unordered_map<uint64_t, df::DataFrame> frames;
   uint64_t next_scan_handle = kWorkerHandleBase;
@@ -42,18 +38,11 @@ Result<df::DataFrame> LookupFrame(WorkerState* st, uint64_t handle) {
   return it->second;
 }
 
-struct LocalPartition {
-  uint64_t global_index = 0;
-  uint64_t handle = 0;
-  uint64_t rows = 0;
-};
-
-/// Scan request: every worker walks the same chunk sequence (the same
-/// geometry the Modin backend produces) and keeps the chunks whose global
-/// index hashes to it (idx % num_workers == worker_index), so the union
-/// across workers is exactly the single-process partitioning. CSV chunks
-/// are parsed by every worker (the text format has no random access); LFC
-/// chunks are only decoded by their owner.
+/// Scan request: every worker walks the same partition sequence
+/// (exec::ScanPartitions, the Modin backend's geometry) and keeps the
+/// partitions whose global index hashes to it (idx % num_workers ==
+/// worker_index), so the union across workers is exactly the
+/// single-process partitioning.
 Result<Message> HandleScan(WorkerState* st, const Message& req) {
   WireReader r(req.payload);
   exec::OpDesc desc;
@@ -68,82 +57,29 @@ Result<Message> HandleScan(WorkerState* st, const Message& req) {
       partition_rows == 0) {
     return Status::Invalid("shard worker: malformed scan geometry");
   }
-  const bool mine_first = worker_index == 0;
-  std::vector<LocalPartition> locals;
-  uint64_t total = 0;
-  auto keep = [&](df::DataFrame frame) {
-    LocalPartition p;
-    p.global_index = total;
-    p.handle = st->next_scan_handle++;
-    p.rows = frame.num_rows();
-    st->frames[p.handle] = std::move(frame);
-    locals.push_back(p);
-  };
-  if (desc.kind == exec::OpKind::kReadCsv) {
-    LAFP_ASSIGN_OR_RETURN(
-        auto reader,
-        io::CsvChunkReader::Open(desc.path, desc.csv_options, &st->tracker));
-    while (true) {
-      LAFP_ASSIGN_OR_RETURN(
-          auto chunk, reader->NextChunk(static_cast<size_t>(partition_rows)));
-      if (!chunk.has_value()) break;
-      if (total % num_workers == worker_index) keep(std::move(*chunk));
-      ++total;
-    }
-    if (total == 0) {
-      // Empty source: mirror Modin's single empty partition, owned by
-      // worker 0; every worker still reports total == 1.
-      total = 1;
-      if (mine_first) {
-        LAFP_ASSIGN_OR_RETURN(
-            df::DataFrame empty,
-            io::ReadCsv(desc.path, desc.csv_options, &st->tracker));
-        keep(std::move(empty));
-        locals.back().global_index = 0;
-      }
-    }
-  } else if (desc.kind == exec::OpKind::kReadLfc) {
-    LAFP_ASSIGN_OR_RETURN(auto reader,
-                          io::LfcReader::Open(desc.path, &st->tracker));
-    const auto& o = desc.lfc_options;
-    LAFP_ASSIGN_OR_RETURN(std::vector<size_t> sel,
-                          reader->SelectColumns(o.usecols));
-    const bool pruning = o.prune_enabled && !o.prune.empty();
-    uint64_t remaining =
-        o.nrows == 0 ? std::numeric_limits<uint64_t>::max() : o.nrows;
-    for (size_t chunk = 0; chunk < reader->num_chunks(); ++chunk) {
-      if (remaining == 0) break;
-      const uint64_t take =
-          std::min<uint64_t>(reader->chunk_rows(chunk), remaining);
-      remaining -= take;
-      if (pruning && !reader->ChunkMayMatch(chunk, o.prune)) continue;
-      if (total % num_workers == worker_index) {
-        LAFP_ASSIGN_OR_RETURN(
-            df::DataFrame part,
-            reader->ReadChunk(chunk, sel, static_cast<size_t>(take)));
-        keep(std::move(part));
-      }
-      ++total;
-    }
-    if (total == 0) {
-      total = 1;
-      if (mine_first) {
-        LAFP_ASSIGN_OR_RETURN(df::DataFrame empty, reader->EmptyFrame(sel));
-        keep(std::move(empty));
-        locals.back().global_index = 0;
-      }
-    }
-  } else {
-    return Status::Invalid("shard worker: scan request for non-scan op");
+  WireWriter locals;
+  std::vector<uint64_t> kept;
+  Result<uint64_t> total = exec::ScanPartitions(
+      desc, static_cast<size_t>(partition_rows), &st->tracker,
+      [&](uint64_t idx) { return idx % num_workers == worker_index; },
+      [&](uint64_t idx, df::DataFrame frame) {
+        const uint64_t handle = st->next_scan_handle++;
+        locals.U64(idx);
+        locals.U64(handle);
+        locals.U64(frame.num_rows());
+        kept.push_back(handle);
+        st->frames[handle] = std::move(frame);
+        return Status::OK();
+      });
+  if (!total.ok()) {
+    // The coordinator never learns these handles; drop them here.
+    for (uint64_t handle : kept) st->frames.erase(handle);
+    return total.status();
   }
   WireWriter w;
-  w.U64(total);
-  w.U32(static_cast<uint32_t>(locals.size()));
-  for (const auto& p : locals) {
-    w.U64(p.global_index);
-    w.U64(p.handle);
-    w.U64(p.rows);
-  }
+  w.U64(*total);
+  w.U32(static_cast<uint32_t>(kept.size()));
+  w.Raw(locals.Take());
   return Message{MsgType::kScanResult, w.Take()};
 }
 
@@ -170,12 +106,6 @@ Result<Message> HandleExecOp(WorkerState* st, const Message& req) {
       df::Scalar s;
       LAFP_RETURN_NOT_OK(DecodeScalar(&r, &s));
       inputs.push_back(exec::EagerValue::FromScalar(std::move(s)));
-    } else if (tag == 2) {
-      std::string bytes;
-      if (!r.Str(&bytes)) return r.Error("inline frame");
-      LAFP_ASSIGN_OR_RETURN(df::DataFrame frame,
-                            exec::DeserializeFrame(bytes, &st->tracker));
-      inputs.push_back(exec::EagerValue::Frame(std::move(frame)));
     } else {
       return Status::Invalid("shard worker: unknown input tag");
     }
@@ -194,46 +124,16 @@ Result<Message> HandleExecOp(WorkerState* st, const Message& req) {
   return Message{MsgType::kOk, w.Take()};
 }
 
-Result<Message> HandleGroupByPartial(WorkerState* st, const Message& req) {
+/// Phase one of a two-phase group-by or reduce, run where the partition
+/// lives; only the (small) partial crosses the socket.
+Result<Message> HandlePartial(WorkerState* st, const Message& req) {
   WireReader r(req.payload);
+  exec::OpDesc desc;
+  LAFP_RETURN_NOT_OK(DecodeOpDesc(&r, &desc));
   uint64_t handle = 0;
-  if (!r.U64(&handle)) return r.Error("groupby handle");
-  std::vector<std::string> keys;
-  uint32_t nkeys = 0;
-  if (!r.U32(&nkeys)) return r.Error("groupby keys");
-  if (static_cast<uint64_t>(nkeys) * 4 > r.remaining()) {
-    return r.Error("groupby keys");
-  }
-  for (uint32_t i = 0; i < nkeys; ++i) {
-    std::string k;
-    if (!r.Str(&k)) return r.Error("groupby key");
-    keys.push_back(std::move(k));
-  }
-  std::vector<df::AggSpec> aggs;
-  uint32_t naggs = 0;
-  if (!r.U32(&naggs)) return r.Error("groupby aggs");
-  if (static_cast<uint64_t>(naggs) * 9 > r.remaining()) {
-    return r.Error("groupby aggs");
-  }
-  for (uint32_t i = 0; i < naggs; ++i) {
-    df::AggSpec a;
-    uint8_t func = 0;
-    if (!r.Str(&a.column) || !r.U8(&func) || !r.Str(&a.out_name)) {
-      return r.Error("agg spec");
-    }
-    if (func > static_cast<uint8_t>(df::AggFunc::kNunique)) {
-      return Status::Invalid("shard worker: bad agg func");
-    }
-    a.func = static_cast<df::AggFunc>(func);
-    aggs.push_back(std::move(a));
-  }
+  if (!r.U64(&handle)) return r.Error("partial handle");
   LAFP_ASSIGN_OR_RETURN(df::DataFrame frame, LookupFrame(st, handle));
-  exec::GroupByCombiner combiner(std::move(keys), std::move(aggs));
-  if (!combiner.supported()) {
-    return Status::Invalid("shard worker: aggregate is not two-phase");
-  }
-  LAFP_ASSIGN_OR_RETURN(df::DataFrame partial,
-                        combiner.PartialAggregate(frame));
+  LAFP_ASSIGN_OR_RETURN(df::DataFrame partial, exec::PartialOf(desc, frame));
   LAFP_ASSIGN_OR_RETURN(std::string bytes, exec::SerializeFrame(partial));
   return Message{MsgType::kFrameData, std::move(bytes)};
 }
@@ -271,7 +171,7 @@ Result<Message> HandleFreeFrames(WorkerState* st, const Message& req) {
     st->frames.erase(handle);  // freeing an unknown handle is a no-op
   }
   WireWriter w;
-  w.U64(0);
+  w.U64(st->frames.size());
   return Message{MsgType::kOk, w.Take()};
 }
 
@@ -281,8 +181,8 @@ Result<Message> Dispatch(WorkerState* st, const Message& req) {
       return HandleScan(st, req);
     case MsgType::kExecOp:
       return HandleExecOp(st, req);
-    case MsgType::kGroupByPartial:
-      return HandleGroupByPartial(st, req);
+    case MsgType::kPartial:
+      return HandlePartial(st, req);
     case MsgType::kPutFrame:
       return HandlePutFrame(st, req);
     case MsgType::kGetFrame:
@@ -297,14 +197,13 @@ Result<Message> Dispatch(WorkerState* st, const Message& req) {
 
 }  // namespace
 
-void WorkerMain(int fd, int worker_index) {
+void WorkerMain(int fd) {
   // The fork copied the coordinator's fault state (thread-local injector
   // pointer and the global registry). Worker-side execution must not
   // consume coordinator fault budgets, so the copy is cleared before any
   // FaultPoint can run.
   FaultInjector::ResetForkedChild();
   WorkerState state;
-  state.worker_index = worker_index;
   for (;;) {
     Result<Message> req = RecvMessage(fd);
     // EOF means the coordinator went away (shutdown or crash); exiting

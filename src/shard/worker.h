@@ -13,7 +13,7 @@ namespace lafp::shard {
 /// spawns threads of its own. Its first action is
 /// FaultInjector::ResetForkedChild(), so coordinator-side fault specs
 /// copied across fork cannot fire inside the worker.
-[[noreturn]] void WorkerMain(int fd, int worker_index);
+[[noreturn]] void WorkerMain(int fd);
 
 }  // namespace lafp::shard
 

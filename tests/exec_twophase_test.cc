@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "dataframe/arith_semantics.h"
+#include "dataframe/kernel_context.h"
+
 namespace lafp::exec {
 namespace {
 
@@ -130,6 +135,43 @@ TEST_F(TwoPhaseTest, ReduceStringMinMax) {
 TEST_F(TwoPhaseTest, ReduceRejectsMultiColumnPartition) {
   ReduceCombiner sum(AggFunc::kSum);
   EXPECT_FALSE(sum.AddPartition(Part({1}, {1.0})).ok());
+}
+
+// Integer sums wrap like the kernels (two's complement), both where
+// per-morsel states merge and where per-partition partials fold; the
+// ubsan preset runs this suite with -fno-sanitize-recover.
+TEST_F(TwoPhaseTest, IntSumFoldsWrapLikeEagerKernel) {
+  const int64_t big = std::numeric_limits<int64_t>::max();
+  auto whole = *Column::MakeInt({big, 1, big}, {}, &tracker_);
+  const Scalar eager = *df::Reduce(*whole, AggFunc::kSum);
+  EXPECT_EQ(eager.int_value(), df::WrapAdd(df::WrapAdd(big, 1), big));
+  {
+    // One-row morsels: the morsel merge folds the wrapping partials.
+    df::KernelContext ctx(nullptr, 1, /*morsel_rows=*/1);
+    df::KernelScope scope(&ctx);
+    EXPECT_EQ((*df::Reduce(*whole, AggFunc::kSum)).int_value(),
+              eager.int_value());
+  }
+  // Two partitions: the combiner folds the wrapping partials.
+  ReduceCombiner sum(AggFunc::kSum);
+  auto first = *Column::MakeInt({big}, {}, &tracker_);
+  auto rest = *Column::MakeInt({1, big}, {}, &tracker_);
+  ASSERT_TRUE(sum.AddPartition(*DataFrame::Make({"v"}, {first})).ok());
+  ASSERT_TRUE(sum.AddPartition(*DataFrame::Make({"v"}, {rest})).ok());
+  EXPECT_EQ((*sum.Finish()).int_value(), eager.int_value());
+}
+
+// A partial that crossed a process boundary is checked, not trusted.
+TEST_F(TwoPhaseTest, ReduceRejectsMalformedPartials) {
+  ReduceCombiner sum(AggFunc::kSum);
+  EXPECT_FALSE(sum.AddPartial(Part({1}, {1.0})).ok());
+  auto bad_type = *Column::MakeInt({99}, {}, &tracker_);
+  auto zero = *Column::MakeInt({0}, {}, &tracker_);
+  EXPECT_FALSE(sum.AddPartial(*DataFrame::Make({"dtype", "sum", "count"},
+                                                {bad_type, zero, zero}))
+                   .ok());
+  ReduceCombiner nu(AggFunc::kNunique);
+  EXPECT_FALSE(nu.AddPartial(Part({1}, {1.0})).ok());
 }
 
 }  // namespace

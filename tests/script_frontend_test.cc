@@ -347,5 +347,39 @@ TEST(CodegenTest, NestedControlFlow) {
   EXPECT_TRUE(Parse(*regen).ok()) << *regen;
 }
 
+// Every recursive construct counts against one nesting budget, so no input
+// can drive the parser or a later tree walk into stack exhaustion.
+TEST(ParserTest, NestingBudgetRejectsDeepInputsCleanly) {
+  auto rep = [](const std::string& s, int n) {
+    std::string out;
+    for (int i = 0; i < n; ++i) out += s;
+    return out;
+  };
+  const std::vector<std::string> deep = {
+      "x = " + rep("(", 5000) + "1" + rep(")", 5000) + "\n",
+      "x = " + rep("-", 5000) + "y\n",
+      "x = " + rep("not ", 5000) + "y\n",
+      "x = 1" + rep(" + 1", 5000) + "\n",
+      "x = f" + rep("(1)", 5000) + "\n",
+      "x = " + rep("[", 5000) + rep("]", 5000) + "\n",
+      "if a:\n  x = 1\n" + rep("elif a:\n  x = 1\n", 5000),
+  };
+  for (const auto& src : deep) {
+    auto module = Parse(src);
+    ASSERT_FALSE(module.ok()) << src.substr(0, 40);
+    EXPECT_TRUE(module.status().IsInvalid()) << module.status().ToString();
+  }
+  std::string blocks;
+  for (int i = 0; i < 300; ++i) {
+    blocks += std::string(2 * static_cast<size_t>(i), ' ') + "if a:\n";
+  }
+  blocks += std::string(600, ' ') + "x = 1\n";
+  EXPECT_TRUE(Parse(blocks).status().IsInvalid());
+  // Ordinary nesting stays well inside the budget.
+  EXPECT_TRUE(Parse("x = " + rep("(", 50) + "1" + rep(" + 1", 50) +
+                    rep(")", 50) + "\n")
+                  .ok());
+}
+
 }  // namespace
 }  // namespace lafp::script

@@ -283,6 +283,24 @@ TEST_F(ServeSmokeTest, ErrorsMapToCleanStatuses) {
   service.Stop();
 }
 
+// A 40 KB body of 20,000 nested parentheses used to overflow the
+// recursive-descent parser's stack and kill the whole service. The
+// nesting budget turns it into a clean 400, and the service stays up.
+TEST_F(ServeSmokeTest, DeeplyNestedProgramIsRejectedCleanly) {
+  ServeOptions options;
+  options.port = 0;
+  QueryService service(options);
+  ASSERT_TRUE(service.Start().ok());
+  const std::string deep =
+      "x = " + std::string(20000, '(') + "1" + std::string(20000, ')') + "\n";
+  std::string reply = RoundTrip(service.port(), "POST", "/run", deep);
+  EXPECT_EQ(StatusOf(reply), 400) << reply.substr(0, 200);
+  std::string health = RoundTrip(service.port(), "GET", "/healthz", "");
+  EXPECT_EQ(StatusOf(health), 200);
+  EXPECT_NE(health.find("ok"), std::string::npos) << health;
+  service.Stop();
+}
+
 TEST_F(ServeSmokeTest, MetricsScrapeIsWellFormed) {
   ServeOptions options;
   options.port = 0;

@@ -12,8 +12,10 @@
 #include <vector>
 
 #include "common/cancellation.h"
+#include "common/fault.h"
 #include "common/macros.h"
 #include "lazy/fat_dataframe.h"
+#include "shard/shard_backend.h"
 
 namespace lafp::lazy {
 namespace {
@@ -258,6 +260,74 @@ TEST_F(ShardExecutorTest, AllNullColumnExchange) {
                           << out.status().ToString();
     EXPECT_EQ(*out, *reference) << "shards=" << shards;
   }
+}
+
+// A query that fails part-way must not strand frames on the workers that
+// did their part: every handle minted before the failure is owned by a
+// frame whose destruction frees it. Workers report their resident frame
+// count in the kFreeFrames reply, so survivors must be back to the count
+// they had before the query.
+class ShardLeakTest : public ShardExecutorTest {
+ protected:
+  void ExpectSurvivorsAtBaseline(const std::vector<int64_t>& before,
+                                 const std::vector<int64_t>& after) {
+    ASSERT_EQ(after.size(), before.size());
+    int survivors = 0;
+    for (size_t w = 0; w < after.size(); ++w) {
+      if (after[w] < 0) continue;  // killed by the injected fault
+      ++survivors;
+      EXPECT_EQ(after[w], before[w]) << "worker " << w;
+    }
+    EXPECT_GE(survivors, 1);
+  }
+
+  exec::OpDesc Scan() const {
+    exec::OpDesc scan;
+    scan.kind = exec::OpKind::kReadCsv;
+    scan.path = csv_path_;
+    return scan;
+  }
+};
+
+TEST_F(ShardLeakTest, FailedScatterFreesSurvivingWorkersFrames) {
+  exec::BackendConfig config;
+  config.shards = 3;
+  config.partition_rows = 64;
+  shard::ShardBackend backend(&tracker_, config);
+  auto facts = backend.Execute(Scan(), {});
+  ASSERT_TRUE(facts.ok()) << facts.status().ToString();
+  auto whole = backend.Materialize(*facts);
+  ASSERT_TRUE(whole.ok());
+  const std::vector<int64_t> before = backend.ResidentFrames();
+  FaultInjector injector;
+  ASSERT_TRUE(injector.InstallFromString("shard.recv:nth=2").ok());
+  {
+    ScopedFaultInjector scope(&injector);
+    // 700 rows in 64-row chunks: 11 puts over 3 workers, the second
+    // reply is lost and its worker killed mid-scatter.
+    EXPECT_FALSE(backend.FromEager(*whole).ok());
+  }
+  ExpectSurvivorsAtBaseline(before, backend.ResidentFrames());
+}
+
+TEST_F(ShardLeakTest, FailedScanRetryFreesSurvivingWorkersFrames) {
+  exec::BackendConfig config;
+  config.shards = 2;
+  config.partition_rows = 64;
+  shard::ShardBackend backend(&tracker_, config);
+  ASSERT_TRUE(backend.FromEager(exec::EagerValue::FromScalar(Scalar::Int(0)))
+                  .ok());  // spawns the cluster
+  const std::vector<int64_t> before = backend.ResidentFrames();
+  FaultInjector injector;
+  // Worker 0's scan reply is lost; worker 1 scans fine and mints handles;
+  // the retry's send to the respawned worker 0 fails too.
+  ASSERT_TRUE(
+      injector.InstallFromString("shard.recv:nth=1;shard.send:nth=3").ok());
+  {
+    ScopedFaultInjector scope(&injector);
+    EXPECT_FALSE(backend.Execute(Scan(), {}).ok());
+  }
+  ExpectSurvivorsAtBaseline(before, backend.ResidentFrames());
 }
 
 }  // namespace
