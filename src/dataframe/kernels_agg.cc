@@ -22,6 +22,10 @@ struct AggState {
   int64_t count = 0;  // non-null count
   double dmin = std::numeric_limits<double>::infinity();
   double dmax = -std::numeric_limits<double>::infinity();
+  // int64/timestamp extremes stay in the integer domain: a double holds
+  // neither INT64_MAX nor 2^53 + 1.
+  int64_t imin = std::numeric_limits<int64_t>::max();
+  int64_t imax = std::numeric_limits<int64_t>::min();
   std::string smin, smax;
   bool has_str = false;
   std::unordered_set<std::string> distinct;
@@ -62,11 +66,16 @@ void Accumulate(AggState* st, AggFunc func, const Column& col, size_t row) {
   double v;
   switch (col.type()) {
     case DataType::kInt64:
-    case DataType::kTimestamp:
+    case DataType::kTimestamp: {
+      const int64_t x = col.IntAt(row);
       // NumPy int64 sum wraps; plain += would be signed-overflow UB.
-      st->isum = WrapAdd(st->isum, col.IntAt(row));
-      v = static_cast<double>(col.IntAt(row));
-      break;
+      st->isum = WrapAdd(st->isum, x);
+      st->sum.Add(static_cast<double>(x));
+      ++st->count;
+      st->imin = std::min(st->imin, x);
+      st->imax = std::max(st->imax, x);
+      return;
+    }
     case DataType::kDouble:
       v = col.DoubleAt(row);
       if (std::isnan(v)) return;  // pandas skipna
@@ -102,11 +111,10 @@ void AccumulateRange(AggState* st, AggFunc func, const Column& col,
         for (size_t i = begin; i < end; ++i) {
           if (valid != nullptr && valid[i] == 0) continue;
           st->isum = WrapAdd(st->isum, vals[i]);
-          const double v = static_cast<double>(vals[i]);
-          st->sum.Add(v);
+          st->sum.Add(static_cast<double>(vals[i]));
           ++st->count;
-          if (v < st->dmin) st->dmin = v;
-          if (v > st->dmax) st->dmax = v;
+          st->imin = std::min(st->imin, vals[i]);
+          st->imax = std::max(st->imax, vals[i]);
         }
         return;
       }
@@ -152,6 +160,8 @@ void MergeState(AggState* into, AggState* from) {
   into->count += from->count;
   into->dmin = std::min(into->dmin, from->dmin);
   into->dmax = std::max(into->dmax, from->dmax);
+  into->imin = std::min(into->imin, from->imin);
+  into->imax = std::max(into->imax, from->imax);
   if (from->has_str) {
     if (!into->has_str) {
       into->smin = std::move(from->smin);
@@ -226,6 +236,10 @@ Status EmitAgg(ColumnBuilder* builder, const AggState& st, AggFunc func,
         builder->AppendNull();
         return Status::OK();
       }
+      if (src == DataType::kInt64 || src == DataType::kTimestamp) {
+        builder->AppendInt(func == AggFunc::kMin ? st.imin : st.imax);
+        return Status::OK();
+      }
       double v = func == AggFunc::kMin ? st.dmin : st.dmax;
       if (builder->type() == DataType::kDouble) {
         builder->AppendDouble(v);
@@ -287,14 +301,12 @@ Result<Scalar> Reduce(const Column& col, AggFunc func) {
         return Scalar::String(func == AggFunc::kMin ? st.smin : st.smax);
       }
       if (st.count == 0) return Scalar::Null();
-      double v = func == AggFunc::kMin ? st.dmin : st.dmax;
-      if (col.type() == DataType::kInt64) {
-        return Scalar::Int(static_cast<int64_t>(v));
-      }
+      const int64_t extreme = func == AggFunc::kMin ? st.imin : st.imax;
+      if (col.type() == DataType::kInt64) return Scalar::Int(extreme);
       if (col.type() == DataType::kTimestamp) {
-        return Scalar::Timestamp(static_cast<int64_t>(v));
+        return Scalar::Timestamp(extreme);
       }
-      return Scalar::Double(v);
+      return Scalar::Double(func == AggFunc::kMin ? st.dmin : st.dmax);
     }
   }
   return Status::Invalid("bad aggregate");

@@ -27,6 +27,41 @@ Result<ColumnPtr> TakeWithNulls(const Column& src,
   return builder.Finish();
 }
 
+/// Column `c` of every frame is a category over equal dictionaries:
+/// concatenated codes over the first frame's dictionary. nullptr when the
+/// dictionaries differ.
+Result<ColumnPtr> ConcatSameCategories(const std::vector<DataFrame>& frames,
+                                       size_t c) {
+  const DictionaryPtr& dict = frames[0].column(c)->dictionary();
+  size_t total = 0;
+  bool any_null = false;
+  for (const auto& f : frames) {
+    const Column& src = *f.column(c);
+    if (src.dictionary() != dict && *src.dictionary() != *dict) {
+      return ColumnPtr();
+    }
+    total += src.size();
+    any_null = any_null || src.has_nulls();
+  }
+  std::vector<int32_t> codes;
+  std::vector<uint8_t> validity;
+  codes.reserve(total);
+  if (any_null) validity.reserve(total);
+  for (const auto& f : frames) {
+    const Column& src = *f.column(c);
+    codes.insert(codes.end(), src.codes().begin(), src.codes().end());
+    if (!any_null) continue;
+    if (src.has_nulls()) {
+      validity.insert(validity.end(), src.validity().begin(),
+                      src.validity().end());
+    } else {
+      validity.resize(validity.size() + src.size(), 1);
+    }
+  }
+  return Column::MakeCategory(std::move(codes), std::move(validity), dict,
+                              frames[0].tracker());
+}
+
 }  // namespace
 
 Result<DataFrame> Merge(const DataFrame& left, const DataFrame& right,
@@ -128,7 +163,17 @@ Result<DataFrame> Concat(const std::vector<DataFrame>& frames) {
                                  "' type mismatch");
       }
     }
-    if (t == DataType::kCategory) t = DataType::kString;
+    if (t == DataType::kCategory) {
+      // pandas keeps the categorical dtype when every piece has the same
+      // categories (partitions of one column always do); otherwise the
+      // result is object, i.e. string.
+      LAFP_ASSIGN_OR_RETURN(ColumnPtr cat, ConcatSameCategories(frames, c));
+      if (cat != nullptr) {
+        out_cols.push_back(std::move(cat));
+        continue;
+      }
+      t = DataType::kString;
+    }
     ColumnBuilder builder(t, first.tracker());
     size_t total = 0;
     for (const auto& f : frames) total += f.num_rows();

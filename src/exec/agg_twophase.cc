@@ -28,6 +28,12 @@ int CompareScalars(const Scalar& a, const Scalar& b) {
       a.type() == df::DataType::kCategory) {
     return a.string_value().compare(b.string_value());
   }
+  if (a.type() == b.type() && (a.type() == df::DataType::kInt64 ||
+                                a.type() == df::DataType::kTimestamp)) {
+    // Exact: int64 partials above 2^53 must not tie through double.
+    const int64_t x = a.int_value(), y = b.int_value();
+    return x < y ? -1 : (x > y ? 1 : 0);
+  }
   double x = *a.AsDouble();
   double y = *b.AsDouble();
   return x < y ? -1 : (x > y ? 1 : 0);

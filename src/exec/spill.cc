@@ -1,7 +1,6 @@
 #include "exec/spill.h"
 
-#include <cerrno>
-#include <cstring>
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -10,141 +9,19 @@
 #include "common/macros.h"
 #include "common/metrics.h"
 #include "common/trace.h"
+#include "io/columnar.h"
 
 namespace lafp::exec {
 
 namespace {
 
-constexpr uint64_t kMagic = 0x4c414650'53504c31ULL;  // "LAFPSPL1"
-
-template <typename T>
-void WritePod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-/// Byte-budgeted istream reader: tracks how much of `limit` has been
-/// consumed so every length field can be validated against the bytes
-/// actually available, whether the source is a file or a message payload
-/// (where tellg()/file_size tricks don't apply).
-class BoundedReader {
- public:
-  BoundedReader(std::istream& in, uint64_t limit) : in_(in), limit_(limit) {}
-
-  uint64_t remaining() const {
-    return consumed_ >= limit_ ? 0 : limit_ - consumed_;
-  }
-
-  template <typename T>
-  bool ReadPod(T* value) {
-    return Read(reinterpret_cast<char*>(value), sizeof(T));
-  }
-
-  bool Read(char* dst, uint64_t n) {
-    if (n > remaining()) {
-      consumed_ = limit_;
-      return false;
-    }
-    if (n == 0) return in_.good();
-    in_.read(dst, static_cast<std::streamsize>(n));
-    consumed_ += n;
-    return in_.good();
-  }
-
- private:
-  std::istream& in_;
-  uint64_t limit_;
-  uint64_t consumed_ = 0;
-};
-
-/// Shared encoder. `file_faults` arms the per-column spill.write
-/// injection site (ENOSPC/EIO checked once per column so a fault can land
-/// mid-file — exactly the partial-write shape a full disk produces); the
-/// shard exchange path leaves it off and injects at its own shard.send /
-/// shard.recv boundaries instead.
-Status WriteSpillBody(const df::DataFrame& frame, std::ostream& out,
-                      bool file_faults) {
-  WritePod(out, kMagic);
-  WritePod(out, static_cast<uint32_t>(frame.num_columns()));
-  WritePod(out, static_cast<uint64_t>(frame.num_rows()));
-  for (size_t c = 0; c < frame.num_columns(); ++c) {
-    if (file_faults) LAFP_RETURN_NOT_OK(FaultPoint("spill.write"));
-    const std::string& name = frame.names()[c];
-    const df::Column& col = *frame.column(c);
-    WritePod(out, static_cast<uint32_t>(name.size()));
-    out.write(name.data(), static_cast<std::streamsize>(name.size()));
-    df::DataType type = col.type();
-    // Categories spill as plain strings (the dictionary is rebuilt on
-    // load only if requested again; simplicity over micro-optimality).
-    if (type == df::DataType::kCategory) type = df::DataType::kString;
-    WritePod(out, static_cast<uint8_t>(type));
-    WritePod(out, static_cast<uint8_t>(col.has_nulls() ? 1 : 0));
-    if (col.has_nulls()) {
-      out.write(reinterpret_cast<const char*>(col.validity().data()),
-                static_cast<std::streamsize>(col.validity().size()));
-    }
-    switch (col.type()) {
-      case df::DataType::kInt64:
-      case df::DataType::kTimestamp:
-        out.write(reinterpret_cast<const char*>(col.ints().data()),
-                  static_cast<std::streamsize>(col.size() * 8));
-        break;
-      case df::DataType::kDouble:
-        out.write(reinterpret_cast<const char*>(col.doubles().data()),
-                  static_cast<std::streamsize>(col.size() * 8));
-        break;
-      case df::DataType::kBool:
-        out.write(reinterpret_cast<const char*>(col.bools().data()),
-                  static_cast<std::streamsize>(col.size()));
-        break;
-      case df::DataType::kString:
-      case df::DataType::kCategory:
-        for (size_t r = 0; r < col.size(); ++r) {
-          const std::string& s =
-              col.IsValid(r) ? col.StringAt(r) : std::string();
-          WritePod(out, static_cast<uint32_t>(s.size()));
-          out.write(s.data(), static_cast<std::streamsize>(s.size()));
-        }
-        break;
-      case df::DataType::kNull:
-        return Status::Invalid("cannot spill a null-typed column");
-    }
-    // Disk-full/EIO surfaces as a failed stream; stop before formatting
-    // the remaining columns into a dead stream.
-    if (!out.good()) return Status::IOError("spill write failed");
-  }
-  out.flush();
-  if (!out.good()) return Status::IOError("spill write failed");
-  return Status::OK();
-}
-
-/// Delete a partially written spill file. A truncated spill must never be
-/// left behind: its header can look complete, so a later ReadSpillFile
-/// would load garbage rows instead of failing.
-Status FailWrite(std::ofstream* out, const std::string& path,
-                 const Status& cause) {
-  const int saved_errno = errno;
-  out->close();
-  std::error_code ec;
-  std::filesystem::remove(path, ec);  // best effort; report the root cause
-  // A generic stream failure gets the path and errno attached; injected
-  // faults and kNull rejections keep their own (site-naming) message.
-  if (!cause.IsIOError() || cause.message() != "spill write failed") {
-    return cause;
-  }
-  std::string detail = "spill write failed: " + path;
-  if (saved_errno != 0) {
-    detail += " (";
-    detail += std::strerror(saved_errno);
-    detail += ")";
-  }
-  return Status::IOError(detail);
+/// One chunk per frame: spill files and payloads are read whole, so
+/// finer chunks would only add zone-map metadata.
+size_t OneChunk(const df::DataFrame& frame) {
+  return std::max<size_t>(1, frame.num_rows());
 }
 
 }  // namespace
-
-Status WriteSpillStream(const df::DataFrame& frame, std::ostream& out) {
-  return WriteSpillBody(frame, out, /*file_faults=*/false);
-}
 
 Status WriteSpillFile(const df::DataFrame& frame, const std::string& path) {
   trace::Span span("spill:write", "io");
@@ -154,165 +31,9 @@ Status WriteSpillFile(const df::DataFrame& frame, const std::string& path) {
   static auto* spill_writes =
       metrics::Registry::Global()->GetCounter("spill.writes");
   spill_writes->Increment();
-  errno = 0;
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out.is_open()) {
-    return Status::IOError("cannot open spill file " + path);
-  }
-  Status st = WriteSpillBody(frame, out, /*file_faults=*/true);
-  if (!st.ok()) return FailWrite(&out, path, st);
-  return Status::OK();
-}
-
-Result<df::DataFrame> ReadSpillStream(std::istream& in, uint64_t limit,
-                                      MemoryTracker* tracker,
-                                      const std::string& context,
-                                      bool expect_exact) {
-  // Every length field is validated against the bytes that are actually
-  // left inside `limit` before any allocation sized by it — a corrupt or
-  // truncated header must fail cleanly, not allocate gigabytes.
-  BoundedReader reader(in, limit);
-  auto corrupt = [&](const std::string& what) {
-    return Status::IOError("corrupt spill data (" + context + "): " + what);
-  };
-  auto truncated = [&](const std::string& what) {
-    return Status::IOError("truncated spill data (" + context + "): " + what);
-  };
-  uint64_t magic = 0;
-  uint32_t ncols = 0;
-  uint64_t nrows = 0;
-  if (!reader.ReadPod(&magic) || magic != kMagic) {
-    return Status::IOError("bad spill magic (" + context + ")");
-  }
-  if (!reader.ReadPod(&ncols) || !reader.ReadPod(&nrows)) {
-    return truncated("header");
-  }
-  // Each column needs at least name_len + type + validity flag = 6 bytes;
-  // each row at least 1 payload byte per column. nrows == 0 with a
-  // non-empty column table is legitimate (empty partitions travel the
-  // shard exchange routinely); nrows > 0 with no columns is
-  // unrepresentable, so such a header is lying.
-  if (ncols > reader.remaining() / 6) {
-    return corrupt("column count " + std::to_string(ncols) +
-                   " exceeds available bytes");
-  }
-  if (ncols == 0 && nrows > 0) {
-    return corrupt("row count " + std::to_string(nrows) +
-                   " with no columns");
-  }
-  if (ncols > 0 && nrows > reader.remaining()) {
-    return corrupt("row count " + std::to_string(nrows) +
-                   " exceeds available bytes");
-  }
-  std::vector<std::string> names;
-  std::vector<df::ColumnPtr> cols;
-  for (uint32_t c = 0; c < ncols; ++c) {
-    uint32_t name_len = 0;
-    if (!reader.ReadPod(&name_len)) return truncated("column header");
-    if (name_len > reader.remaining()) {
-      return corrupt("column name length " + std::to_string(name_len) +
-                     " exceeds available bytes");
-    }
-    std::string name(name_len, '\0');
-    if (!reader.Read(name.data(), name_len)) return truncated("column name");
-    uint8_t type_raw = 0, has_validity = 0;
-    if (!reader.ReadPod(&type_raw) || !reader.ReadPod(&has_validity)) {
-      return truncated("column header");
-    }
-    auto type = static_cast<df::DataType>(type_raw);
-    std::vector<uint8_t> validity;
-    if (has_validity != 0) {
-      if (nrows > reader.remaining()) {
-        return corrupt("validity exceeds available bytes");
-      }
-      validity.resize(nrows);
-      if (!reader.Read(reinterpret_cast<char*>(validity.data()), nrows)) {
-        return truncated("validity");
-      }
-    }
-    df::ColumnPtr col;
-    switch (type) {
-      case df::DataType::kInt64:
-      case df::DataType::kTimestamp: {
-        if (nrows > reader.remaining() / 8) {
-          return corrupt("int payload exceeds available bytes");
-        }
-        std::vector<int64_t> values(nrows);
-        if (!reader.Read(reinterpret_cast<char*>(values.data()),
-                         nrows * 8)) {
-          return truncated("int payload");
-        }
-        LAFP_ASSIGN_OR_RETURN(
-            col, type == df::DataType::kInt64
-                     ? df::Column::MakeInt(std::move(values),
-                                           std::move(validity), tracker)
-                     : df::Column::MakeTimestamp(std::move(values),
-                                                 std::move(validity),
-                                                 tracker));
-        break;
-      }
-      case df::DataType::kDouble: {
-        if (nrows > reader.remaining() / 8) {
-          return corrupt("double payload exceeds available bytes");
-        }
-        std::vector<double> values(nrows);
-        if (!reader.Read(reinterpret_cast<char*>(values.data()),
-                         nrows * 8)) {
-          return truncated("double payload");
-        }
-        LAFP_ASSIGN_OR_RETURN(
-            col, df::Column::MakeDouble(std::move(values),
-                                        std::move(validity), tracker));
-        break;
-      }
-      case df::DataType::kBool: {
-        if (nrows > reader.remaining()) {
-          return corrupt("bool payload exceeds available bytes");
-        }
-        std::vector<uint8_t> values(nrows);
-        if (!reader.Read(reinterpret_cast<char*>(values.data()), nrows)) {
-          return truncated("bool payload");
-        }
-        LAFP_ASSIGN_OR_RETURN(
-            col, df::Column::MakeBool(std::move(values),
-                                      std::move(validity), tracker));
-        break;
-      }
-      case df::DataType::kString: {
-        if (nrows > reader.remaining() / 4) {
-          return corrupt("string payload exceeds available bytes");
-        }
-        std::vector<std::string> values(nrows);
-        for (uint64_t r = 0; r < nrows; ++r) {
-          uint32_t len = 0;
-          if (!reader.ReadPod(&len)) return truncated("string length");
-          if (len > reader.remaining()) {
-            return corrupt("string length " + std::to_string(len) +
-                           " exceeds available bytes");
-          }
-          values[r].resize(len);
-          if (!reader.Read(values[r].data(), len)) {
-            return truncated("string payload");
-          }
-        }
-        LAFP_ASSIGN_OR_RETURN(
-            col, df::Column::MakeString(std::move(values),
-                                        std::move(validity), tracker));
-        break;
-      }
-      default:
-        return corrupt("bad column type " + std::to_string(type_raw));
-    }
-    names.push_back(std::move(name));
-    cols.push_back(std::move(col));
-  }
-  if (expect_exact && reader.remaining() != 0) {
-    // Message-framed payloads must be consumed exactly: leftover bytes
-    // mean the sender and receiver disagree about the frame's extent.
-    return corrupt(std::to_string(reader.remaining()) +
-                   " trailing bytes after frame");
-  }
-  return df::DataFrame::Make(std::move(names), std::move(cols));
+  return io::WriteFileAtomically(path, "spill file", [&](std::ostream& out) {
+    return io::EncodeLfc(frame, OneChunk(frame), out, "spill.write");
+  });
 }
 
 Result<df::DataFrame> ReadSpillFile(const std::string& path,
@@ -332,20 +53,22 @@ Result<df::DataFrame> ReadSpillFile(const std::string& path,
     return Status::IOError("cannot stat spill file " + path + ": " +
                            ec.message());
   }
-  return ReadSpillStream(in, file_size, tracker, "spill file " + path);
+  std::string bytes(file_size, '\0');
+  if (!in.read(bytes.data(), static_cast<std::streamsize>(file_size))) {
+    return Status::IOError("cannot read spill file " + path);
+  }
+  return io::DecodeLfc(bytes, tracker, "spill file " + path);
 }
 
 Result<std::string> SerializeFrame(const df::DataFrame& frame) {
   std::ostringstream out(std::ios::binary);
-  LAFP_RETURN_NOT_OK(WriteSpillStream(frame, out));
+  LAFP_RETURN_NOT_OK(io::EncodeLfc(frame, OneChunk(frame), out));
   return std::move(out).str();
 }
 
 Result<df::DataFrame> DeserializeFrame(std::string_view bytes,
                                        MemoryTracker* tracker) {
-  std::istringstream in(std::string(bytes), std::ios::binary);
-  return ReadSpillStream(in, bytes.size(), tracker, "shard exchange",
-                         /*expect_exact=*/true);
+  return io::DecodeLfc(bytes, tracker, "shard exchange");
 }
 
 }  // namespace lafp::exec

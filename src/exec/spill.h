@@ -1,7 +1,6 @@
 #ifndef LAFP_EXEC_SPILL_H_
 #define LAFP_EXEC_SPILL_H_
 
-#include <iosfwd>
 #include <string>
 #include <string_view>
 
@@ -9,46 +8,29 @@
 
 namespace lafp::exec {
 
-/// Binary columnar spill format for partitions (the §5.4 disk-persist
-/// extension) — also the shard executor's partition-exchange wire format
-/// (src/shard/): the same length-validated encoding travels over worker
-/// socketpairs as lives in spill files. Unlike a CSV round trip, reload
-/// is a straight typed read — no parsing, no type inference — so
-/// re-reading a spilled partition is much cheaper than recomputing it.
-///
-/// Layout (little-endian, host order):
-///   u64 magic | u32 ncols | u64 nrows
-///   per column: u32 name_len, name bytes | u8 type | u8 has_validity |
-///               [validity: nrows bytes] | payload
-///   payload: int64/timestamp/double = nrows*8 raw; bool = nrows raw;
-///            string/category = per row u32 len + bytes.
+/// Partition persistence (the §5.4 disk-persist extension) and the shard
+/// executor's partition-exchange payloads (src/shard/). Both are LFC
+/// images (io/columnar.h) holding one chunk per frame, so spill files,
+/// exchange payloads and LFC files share one encoder and one validating
+/// decoder. Unlike a CSV round trip, reload is a straight typed read — no
+/// parsing, no type inference — and categories keep their dictionary.
 ///
 /// A zero-row frame with a non-empty column table is a first-class value
-/// (the shard exchange ships empty partitions routinely) and must round-
-/// trip; `ncols == 0 && nrows > 0` is rejected as corrupt (such a frame is
-/// unrepresentable, so the header is lying).
+/// (the shard exchange ships empty partitions routinely) and round-trips;
+/// an image claiming rows but no columns is rejected as corrupt.
+
+/// Writes through `path + ".tmp"` and an atomic rename. The `spill.write`
+/// fault site fires once per column; a failed or faulted write leaves no
+/// file at either path.
 Status WriteSpillFile(const df::DataFrame& frame, const std::string& path);
 
+/// `spill.read` fires at open; the whole file must be one valid image.
 Result<df::DataFrame> ReadSpillFile(const std::string& path,
                                     MemoryTracker* tracker);
 
-/// Stream core shared by the file API above and the shard exchange.
-/// Write appends the encoded frame to `out`; no fault injection, no
-/// cleanup — callers own the surrounding failure policy.
-Status WriteSpillStream(const df::DataFrame& frame, std::ostream& out);
-
-/// Decode one frame from `in`, trusting at most `limit` readable bytes
-/// (every length field is clamp-validated against it before any
-/// allocation). `context` names the source in error messages ("spill file
-/// p.bin", "shard exchange"). When `expect_exact` is set, leftover bytes
-/// inside `limit` after the frame are an error — on a message-framed
-/// exchange payload trailing bytes mean protocol desync, never padding.
-Result<df::DataFrame> ReadSpillStream(std::istream& in, uint64_t limit,
-                                      MemoryTracker* tracker,
-                                      const std::string& context,
-                                      bool expect_exact = false);
-
-/// In-memory wrappers used for exchange message payloads.
+/// Exchange payloads: no fault site, span or counter (the shard transport
+/// owns those). DeserializeFrame decodes straight from `bytes`, which
+/// must hold exactly one image — trailing bytes mean protocol desync.
 Result<std::string> SerializeFrame(const df::DataFrame& frame);
 Result<df::DataFrame> DeserializeFrame(std::string_view bytes,
                                        MemoryTracker* tracker);

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <type_traits>
 #include <unordered_map>
 
 #include "common/fault.h"
@@ -95,58 +96,43 @@ class Cursor {
   const uint8_t* end_;
 };
 
-/// Delete a partially written tmp file; a truncated LFC file must never
-/// become visible at the final path (same discipline as spill writes).
-Status FailWrite(std::ofstream* out, const std::string& tmp,
-                 const Status& cause) {
-  const int saved_errno = errno;
-  out->close();
-  std::error_code ec;
-  std::filesystem::remove(tmp, ec);  // best effort; report the root cause
-  if (!cause.ok()) return cause;
-  std::string detail = "lfc write failed: " + tmp;
-  if (saved_errno != 0) {
-    detail += " (";
-    detail += std::strerror(saved_errno);
-    detail += ")";
-  }
-  return Status::IOError(detail);
-}
-
+/// Zone map of rows [r0, r1); the type switch sits outside the row loop
+/// because the shard exchange encodes every partition it ships.
 LfcZoneMap ComputeZone(const df::Column& col, size_t r0, size_t r1) {
   LfcZoneMap z;
-  for (size_t i = r0; i < r1; ++i) {
-    if (!col.IsValid(i)) {
-      ++z.null_count;
-      continue;
+  const uint8_t* valid = col.validity_data();
+  auto fold = [&](auto value_at, auto* lo, auto* hi) {
+    for (size_t i = r0; i < r1; ++i) {
+      if (valid != nullptr && valid[i] == 0) {
+        ++z.null_count;
+        continue;
+      }
+      const auto v = value_at(i);
+      if constexpr (std::is_floating_point_v<decltype(v)>) {
+        if (std::isnan(v)) continue;  // NaN never satisfies a predicate
+      }
+      if (!z.has_bounds || v < *lo) *lo = v;
+      if (!z.has_bounds || v > *hi) *hi = v;
+      z.has_bounds = true;
     }
-    switch (col.type()) {
-      case df::DataType::kInt64:
-      case df::DataType::kTimestamp: {
-        const int64_t v = col.IntAt(i);
-        if (!z.has_bounds || v < z.min_i) z.min_i = v;
-        if (!z.has_bounds || v > z.max_i) z.max_i = v;
-        z.has_bounds = true;
-        break;
-      }
-      case df::DataType::kDouble: {
-        const double v = col.DoubleAt(i);
-        if (std::isnan(v)) break;  // NaN never satisfies a predicate
-        if (!z.has_bounds || v < z.min_d) z.min_d = v;
-        if (!z.has_bounds || v > z.max_d) z.max_d = v;
-        z.has_bounds = true;
-        break;
-      }
-      case df::DataType::kBool: {
-        const int64_t v = col.BoolAt(i) ? 1 : 0;
-        if (!z.has_bounds || v < z.min_i) z.min_i = v;
-        if (!z.has_bounds || v > z.max_i) z.max_i = v;
-        z.has_bounds = true;
-        break;
-      }
-      default:
-        break;  // dictionary columns carry no ordering bounds
-    }
+  };
+  switch (col.type()) {
+    case df::DataType::kInt64:
+    case df::DataType::kTimestamp:
+      fold([&](size_t i) { return col.int_data()[i]; }, &z.min_i, &z.max_i);
+      break;
+    case df::DataType::kDouble:
+      fold([&](size_t i) { return col.double_data()[i]; }, &z.min_d,
+           &z.max_d);
+      break;
+    case df::DataType::kBool:
+      fold([&](size_t i) { return int64_t{col.bool_data()[i] != 0}; },
+           &z.min_i, &z.max_i);
+      break;
+    default:
+      // Dictionary columns carry no ordering bounds, only a null count.
+      for (size_t i = r0; i < r1; ++i) z.null_count += !col.IsValid(i);
+      break;
   }
   return z;
 }
@@ -257,8 +243,8 @@ bool ChunkNeverMatches(const ColumnEntry& col, const ChunkMeta& chunk,
   return IntervalNeverMatches(p.op, lo, hi, *r);
 }
 
-Status Corrupt(const std::string& path, const std::string& what) {
-  return Status::IOError("corrupt lfc file " + path + ": " + what);
+Status Corrupt(const std::string& context, const std::string& what) {
+  return Status::IOError("corrupt " + context + ": " + what);
 }
 
 }  // namespace
@@ -267,25 +253,17 @@ Status Corrupt(const std::string& path, const std::string& what) {
 // Writer
 // ---------------------------------------------------------------------------
 
-Status WriteLfcFile(const df::DataFrame& frame, const std::string& path,
-                    const LfcWriteOptions& options) {
-  trace::Span span("lfc:write", "io");
-  if (span.active()) {
-    span.AddArg("rows", static_cast<int64_t>(frame.num_rows()));
-  }
-  static auto* lfc_writes =
-      metrics::Registry::Global()->GetCounter("lfc.writes");
-  lfc_writes->Increment();
-
-  const size_t chunk_rows = options.chunk_rows == 0 ? 65536
-                                                    : options.chunk_rows;
+Status EncodeLfc(const df::DataFrame& frame, size_t chunk_rows,
+                 std::ostream& out, const char* fault_site) {
+  if (chunk_rows == 0) chunk_rows = LfcWriteOptions{}.chunk_rows;
   const size_t nrows = frame.num_rows();
   const size_t ncols = frame.num_columns();
   const size_t nchunks = nrows == 0 ? 0 : (nrows + chunk_rows - 1) / chunk_rows;
 
   // Per-column encodings. String columns dictionary-encode into
-  // first-appearance order; category columns keep their codes and
-  // dictionary verbatim so a round trip is exact.
+  // first-appearance order, keyed by views of the column's own strings;
+  // category columns keep their codes and dictionary verbatim so a round
+  // trip is exact.
   std::vector<ColumnEntry> metas(ncols);
   std::vector<std::vector<uint32_t>> codes(ncols);
   std::vector<const df::Dictionary*> dicts(ncols, nullptr);
@@ -301,13 +279,14 @@ Status WriteLfcFile(const df::DataFrame& frame, const std::string& path,
                                m.name);
       case df::DataType::kString: {
         m.dict_encoded = true;
-        std::unordered_map<std::string, uint32_t> index;
+        std::unordered_map<std::string_view, uint32_t> index;
         codes[c].resize(col.size(), 0);
         for (size_t i = 0; i < col.size(); ++i) {
           if (!col.IsValid(i)) continue;
-          auto [it, inserted] = index.emplace(
-              col.StringAt(i), static_cast<uint32_t>(built_dicts[c].size()));
-          if (inserted) built_dicts[c].push_back(col.StringAt(i));
+          const std::string& s = col.StringAt(i);
+          auto [it, inserted] = index.try_emplace(
+              s, static_cast<uint32_t>(built_dicts[c].size()));
+          if (inserted) built_dicts[c].push_back(s);
           codes[c][i] = it->second;
         }
         dicts[c] = &built_dicts[c];
@@ -338,12 +317,7 @@ Status WriteLfcFile(const df::DataFrame& frame, const std::string& path,
     }
   }
 
-  const std::string tmp = path + ".tmp";
-  errno = 0;
-  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-  if (!out.is_open()) {
-    return Status::IOError("cannot create lfc file " + tmp);
-  }
+  const Status stream_failed = Status::IOError("lfc stream write failed");
   uint64_t pos = 0;
   auto write_raw = [&](const void* data, size_t n) {
     out.write(reinterpret_cast<const char*>(data),
@@ -359,9 +333,8 @@ Status WriteLfcFile(const df::DataFrame& frame, const std::string& path,
     const size_t n = r1 - r0;
     for (size_t c = 0; c < ncols; ++c) {
       // ENOSPC/EIO injection, once per column-chunk so a fault lands
-      // mid-file — the partial-write shape a full disk produces.
-      Status injected = FaultPoint("lfc.write");
-      if (!injected.ok()) return FailWrite(&out, tmp, injected);
+      // mid-image — the partial-write shape a full disk produces.
+      if (fault_site != nullptr) LAFP_RETURN_NOT_OK(FaultPoint(fault_site));
       const df::Column& col = *frame.column(c);
       ChunkMeta cm;
       cm.offset = pos;
@@ -396,7 +369,8 @@ Status WriteLfcFile(const df::DataFrame& frame, const std::string& path,
         case df::DataType::kNull:
           break;  // rejected above
       }
-      if (!out.good()) return FailWrite(&out, tmp, Status::OK());
+      // Stop before formatting the remaining columns into a dead stream.
+      if (!out.good()) return stream_failed;
       metas[c].chunks.push_back(cm);
     }
   }
@@ -411,7 +385,7 @@ Status WriteLfcFile(const df::DataFrame& frame, const std::string& path,
       write_raw(s.data(), s.size());
     }
     metas[c].dict_bytes = pos - metas[c].dict_offset;
-    if (!out.good()) return FailWrite(&out, tmp, Status::OK());
+    if (!out.good()) return stream_failed;
   }
 
   // ---- footer + trailer ----
@@ -451,27 +425,68 @@ Status WriteLfcFile(const df::DataFrame& frame, const std::string& path,
       AppendPod(&footer, cm.zone.max_d);
     }
   }
-  Status injected = FaultPoint("lfc.write");
-  if (!injected.ok()) return FailWrite(&out, tmp, injected);
   write_raw(footer.data(), footer.size());
   const uint64_t footer_len = footer.size();
   const uint64_t footer_checksum = Fnv1a64(footer.data(), footer.size());
   write_raw(&footer_len, sizeof(footer_len));
   write_raw(&footer_checksum, sizeof(footer_checksum));
   write_raw(&kLfcMagic, sizeof(kLfcMagic));
-  out.flush();
-  if (!out.good()) return FailWrite(&out, tmp, Status::OK());
-  out.close();
+  return out.good() ? Status::OK() : stream_failed;
+}
 
+Status WriteFileAtomically(const std::string& path, const std::string& what,
+                           const std::function<Status(std::ostream&)>& encode) {
+  const std::string tmp = path + ".tmp";
+  errno = 0;
+  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+  if (!out.is_open()) {
+    return Status::IOError("cannot create " + what + " " + tmp);
+  }
+  Status st = encode(out);
+  if (st.ok()) out.close();  // flushes; a failed flush sets failbit
+  if (!st.ok() || out.fail()) {
+    // A truncated image must never become visible at the final path: its
+    // header can look complete.
+    const int saved_errno = errno;
+    const bool stream_failed = out.fail();
+    out.close();
+    std::error_code ec;
+    std::filesystem::remove(tmp, ec);  // best effort; report the root cause
+    // Injected faults and rejected frames keep their own message; a
+    // failed stream gets the path and errno.
+    if (!stream_failed) return st;
+    std::string detail = what + " write failed: " + tmp;
+    if (saved_errno != 0) {
+      detail += " (";
+      detail += std::strerror(saved_errno);
+      detail += ")";
+    }
+    return Status::IOError(detail);
+  }
   // Atomic publish: the final path only ever holds a complete file.
   std::error_code ec;
   std::filesystem::rename(tmp, path, ec);
   if (ec) {
     std::filesystem::remove(tmp, ec);
-    return Status::IOError("cannot publish lfc file " + path + ": " +
+    return Status::IOError("cannot publish " + what + " " + path + ": " +
                            ec.message());
   }
   return Status::OK();
+}
+
+Status WriteLfcFile(const df::DataFrame& frame, const std::string& path,
+                    const LfcWriteOptions& options) {
+  trace::Span span("lfc:write", "io");
+  if (span.active()) {
+    span.AddArg("rows", static_cast<int64_t>(frame.num_rows()));
+  }
+  static auto* lfc_writes =
+      metrics::Registry::Global()->GetCounter("lfc.writes");
+  lfc_writes->Increment();
+  return WriteFileAtomically(path, "lfc file", [&](std::ostream& out) {
+    LAFP_RETURN_NOT_OK(EncodeLfc(frame, options.chunk_rows, out, "lfc.write"));
+    return FaultPoint("lfc.write");  // a fault after the last chunk
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -479,15 +494,17 @@ Status WriteLfcFile(const df::DataFrame& frame, const std::string& path,
 // ---------------------------------------------------------------------------
 
 struct LfcReader::Impl {
-  void* map = MAP_FAILED;
+  void* map = MAP_FAILED;  // owned mapping (Open); unset for DecodeLfc
   size_t map_size = 0;
+  const uint8_t* data = nullptr;  // the parsed image
+  std::string context;            // names the image in error messages
   std::vector<ColumnEntry> cols;
 
   ~Impl() {
     if (map != MAP_FAILED) ::munmap(map, map_size);
   }
 
-  const uint8_t* base() const { return static_cast<const uint8_t*>(map); }
+  const uint8_t* base() const { return data; }
 };
 
 LfcReader::LfcReader() : impl_(new Impl) {}
@@ -515,46 +532,57 @@ Result<std::unique_ptr<LfcReader>> LfcReader::Open(const std::string& path,
     return Status::IOError("cannot stat lfc file " + path);
   }
   const size_t file_size = static_cast<size_t>(st.st_size);
-  if (file_size < sizeof(kLfcMagic) + kTrailerBytes) {
-    ::close(fd);
-    return Corrupt(path, "file too small for header and trailer");
-  }
-  void* map = ::mmap(nullptr, file_size, PROT_READ, MAP_PRIVATE, fd, 0);
-  ::close(fd);
-  if (map == MAP_FAILED) {
-    return Status::IOError("cannot mmap lfc file " + path + " (" +
-                           std::strerror(errno) + ")");
-  }
-
   std::unique_ptr<LfcReader> reader(new LfcReader());
-  reader->impl_->map = map;
-  reader->impl_->map_size = file_size;
+  if (file_size > 0) {  // mmap rejects a zero length; Parse rejects the file
+    void* map = ::mmap(nullptr, file_size, PROT_READ, MAP_PRIVATE, fd, 0);
+    if (map == MAP_FAILED) {
+      ::close(fd);
+      return Status::IOError("cannot mmap lfc file " + path + " (" +
+                             std::strerror(errno) + ")");
+    }
+    reader->impl_->map = map;
+    reader->impl_->map_size = file_size;
+  }
+  ::close(fd);
   reader->path_ = path;
-  reader->tracker_ = tracker;
-  const uint8_t* base = reader->impl_->base();
+  const auto* data = file_size > 0
+                         ? static_cast<const uint8_t*>(reader->impl_->map)
+                         : nullptr;
+  LAFP_RETURN_NOT_OK(
+      reader->Parse(data, file_size, "lfc file " + path, tracker));
+  return reader;
+}
 
+Status LfcReader::Parse(const uint8_t* base, size_t size, std::string source,
+                        MemoryTracker* tracker) {
+  impl_->data = base;
+  impl_->context = std::move(source);
+  tracker_ = tracker;
+  const std::string& context = impl_->context;
+  if (size < sizeof(kLfcMagic) + kTrailerBytes) {
+    return Corrupt(context, "too small for header and trailer");
+  }
   uint64_t head_magic = 0;
   std::memcpy(&head_magic, base, sizeof(head_magic));
-  if (head_magic != kLfcMagic) return Corrupt(path, "bad magic");
+  if (head_magic != kLfcMagic) return Corrupt(context, "bad magic");
 
   // Trailer: footer_len | footer_checksum | magic at the very end.
   uint64_t footer_len = 0, footer_checksum = 0, tail_magic = 0;
-  const uint8_t* trailer = base + file_size - kTrailerBytes;
+  const uint8_t* trailer = base + size - kTrailerBytes;
   std::memcpy(&footer_len, trailer, 8);
   std::memcpy(&footer_checksum, trailer + 8, 8);
   std::memcpy(&tail_magic, trailer + 16, 8);
-  if (tail_magic != kLfcMagic) return Corrupt(path, "bad trailer magic");
-  const uint64_t max_footer =
-      file_size - sizeof(kLfcMagic) - kTrailerBytes;
+  if (tail_magic != kLfcMagic) return Corrupt(context, "bad trailer magic");
+  const uint64_t max_footer = size - sizeof(kLfcMagic) - kTrailerBytes;
   if (footer_len > max_footer) {
-    return Corrupt(path, "footer length " + std::to_string(footer_len) +
-                             " exceeds file size");
+    return Corrupt(context, "footer length " + std::to_string(footer_len) +
+                                " exceeds image size");
   }
-  const uint64_t footer_start = file_size - kTrailerBytes - footer_len;
+  const uint64_t footer_start = size - kTrailerBytes - footer_len;
   if (Fnv1a64(base + footer_start, footer_len) != footer_checksum) {
-    return Corrupt(path, "footer checksum mismatch");
+    return Corrupt(context, "footer checksum mismatch");
   }
-  reader->info_.footer_checksum = footer_checksum;
+  info_.footer_checksum = footer_checksum;
 
   Cursor cur(base + footer_start, footer_len);
   uint32_t version = 0, ncols = 0, nchunks = 0;
@@ -562,60 +590,60 @@ Result<std::unique_ptr<LfcReader>> LfcReader::Open(const std::string& path,
   if (!cur.Read(&version) || !cur.Read(&nrows) ||
       !cur.Read(&nominal_chunk_rows) || !cur.Read(&ncols) ||
       !cur.Read(&nchunks)) {
-    return Corrupt(path, "truncated footer header");
+    return Corrupt(context, "truncated footer header");
   }
   if (version != kLfcVersion) {
     return Status::IOError("unsupported lfc version " +
-                           std::to_string(version) + " in " + path);
+                           std::to_string(version) + " in " + context);
   }
   // Every chunk row count is a u64 and every column needs at least its
   // name length + type + flags; clamp both counts before any loop.
   if (nchunks > cur.remaining() / 8) {
-    return Corrupt(path, "chunk count exceeds footer size");
+    return Corrupt(context, "chunk count exceeds footer size");
   }
-  reader->chunk_rows_.resize(nchunks);
+  chunk_rows_.resize(nchunks);
   uint64_t rows_sum = 0;
   for (uint32_t i = 0; i < nchunks; ++i) {
-    if (!cur.Read(&reader->chunk_rows_[i])) {
-      return Corrupt(path, "truncated chunk table");
+    if (!cur.Read(&chunk_rows_[i])) {
+      return Corrupt(context, "truncated chunk table");
     }
-    if (reader->chunk_rows_[i] == 0 || reader->chunk_rows_[i] > nrows) {
-      return Corrupt(path, "chunk row count out of range");
+    if (chunk_rows_[i] == 0 || chunk_rows_[i] > nrows) {
+      return Corrupt(context, "chunk row count out of range");
     }
     // Overflow-safe accumulation: huge per-chunk counts must not wrap
     // rows_sum back onto nrows and launder themselves through the sum
     // check below.
-    if (reader->chunk_rows_[i] > nrows - rows_sum) {
-      return Corrupt(path, "chunk rows exceed row count");
+    if (chunk_rows_[i] > nrows - rows_sum) {
+      return Corrupt(context, "chunk rows exceed row count");
     }
-    rows_sum += reader->chunk_rows_[i];
+    rows_sum += chunk_rows_[i];
   }
   if (rows_sum != nrows) {
-    return Corrupt(path, "chunk rows do not sum to row count");
+    return Corrupt(context, "chunk rows do not sum to row count");
   }
   if (ncols == 0 && nrows != 0) {
     // The writer only emits chunks for frames with columns; without this
     // a column-less footer could claim an arbitrary row count that no
     // per-chunk payload check below would ever bound.
-    return Corrupt(path, "row count without columns");
+    return Corrupt(context, "row count without columns");
   }
   if (ncols > cur.remaining() / 6) {
-    return Corrupt(path, "column count exceeds footer size");
+    return Corrupt(context, "column count exceeds footer size");
   }
 
-  reader->info_.nrows = nrows;
-  reader->info_.num_chunks = nchunks;
-  reader->impl_->cols.resize(ncols);
+  info_.nrows = nrows;
+  info_.num_chunks = nchunks;
+  impl_->cols.resize(ncols);
   for (uint32_t c = 0; c < ncols; ++c) {
-    ColumnEntry& col = reader->impl_->cols[c];
+    ColumnEntry& col = impl_->cols[c];
     uint32_t name_len = 0;
     if (!cur.Read(&name_len) || name_len > cur.remaining() ||
         !cur.ReadString(name_len, &col.name)) {
-      return Corrupt(path, "truncated column name");
+      return Corrupt(context, "truncated column name");
     }
     uint8_t type_raw = 0, flags = 0;
     if (!cur.Read(&type_raw) || !cur.Read(&flags)) {
-      return Corrupt(path, "truncated column meta");
+      return Corrupt(context, "truncated column meta");
     }
     col.physical = static_cast<df::DataType>(type_raw);
     col.dict_encoded = (flags & kFlagDictEncoded) != 0;
@@ -626,29 +654,29 @@ Result<std::unique_ptr<LfcReader>> LfcReader::Open(const std::string& path,
       case df::DataType::kDouble:
       case df::DataType::kBool:
         if (col.dict_encoded) {
-          return Corrupt(path, "dictionary flag on numeric column");
+          return Corrupt(context, "dictionary flag on numeric column");
         }
         break;
       case df::DataType::kString:
       case df::DataType::kCategory:
         if (!col.dict_encoded) {
-          return Corrupt(path, "string column without dictionary");
+          return Corrupt(context, "string column without dictionary");
         }
         break;
       default:
-        return Corrupt(path, "bad column type");
+        return Corrupt(context, "bad column type");
     }
     if (col.dict_encoded) {
       if (!cur.Read(&col.dict_offset) || !cur.Read(&col.dict_bytes) ||
           !cur.Read(&col.dict_count)) {
-        return Corrupt(path, "truncated dictionary meta");
+        return Corrupt(context, "truncated dictionary meta");
       }
       if (col.dict_offset > footer_start ||
           col.dict_bytes > footer_start - col.dict_offset) {
-        return Corrupt(path, "dictionary extends past data section");
+        return Corrupt(context, "dictionary extends past data section");
       }
       if (col.dict_count > col.dict_bytes / 4 + 1) {
-        return Corrupt(path, "dictionary count exceeds its byte length");
+        return Corrupt(context, "dictionary count exceeds its byte length");
       }
       // Decode the dictionary eagerly; entry lengths are clamped against
       // the remaining dictionary bytes ("over-long offsets" corpus).
@@ -659,12 +687,12 @@ Result<std::unique_ptr<LfcReader>> LfcReader::Open(const std::string& path,
         std::string entry;
         if (!dcur.Read(&len) || len > dcur.remaining() ||
             !dcur.ReadString(len, &entry)) {
-          return Corrupt(path, "truncated dictionary entry");
+          return Corrupt(context, "truncated dictionary entry");
         }
         dict->push_back(std::move(entry));
       }
       if (dcur.remaining() != 0) {
-        return Corrupt(path, "trailing bytes in dictionary");
+        return Corrupt(context, "trailing bytes in dictionary");
       }
       col.dict = std::move(dict);
     }
@@ -678,10 +706,10 @@ Result<std::unique_ptr<LfcReader>> LfcReader::Open(const std::string& path,
           !cur.Read(&has_bounds) || !cur.Read(&cm.zone.min_i) ||
           !cur.Read(&cm.zone.max_i) || !cur.Read(&cm.zone.min_d) ||
           !cur.Read(&cm.zone.max_d)) {
-        return Corrupt(path, "truncated chunk meta");
+        return Corrupt(context, "truncated chunk meta");
       }
       cm.zone.has_bounds = has_bounds != 0;
-      const uint64_t rows = reader->chunk_rows_[i];
+      const uint64_t rows = chunk_rows_[i];
       // The chunk's bytes must lie entirely inside the data section
       // (between the head magic and the footer), checked without
       // overflow: each length is clamped against what is left.
@@ -689,7 +717,7 @@ Result<std::unique_ptr<LfcReader>> LfcReader::Open(const std::string& path,
           cm.validity_bytes > footer_start - cm.offset ||
           cm.payload_bytes >
               footer_start - cm.offset - cm.validity_bytes) {
-        return Corrupt(path, "chunk extends past data section");
+        return Corrupt(context, "chunk extends past data section");
       }
       // Bound the row count in division form BEFORE any arithmetic on
       // it: a crafted `rows` near 2^64/width would wrap `rows * width`
@@ -699,27 +727,53 @@ Result<std::unique_ptr<LfcReader>> LfcReader::Open(const std::string& path,
       const uint64_t payload_room =
           footer_start - cm.offset - cm.validity_bytes;
       if (rows > payload_room / width) {
-        return Corrupt(path, "chunk row count exceeds data section");
+        return Corrupt(context, "chunk row count exceeds data section");
       }
       if (cm.validity_bytes != 0 && cm.validity_bytes != (rows + 7) / 8) {
-        return Corrupt(path, "validity bitmap size mismatch");
+        return Corrupt(context, "validity bitmap size mismatch");
       }
       if (cm.payload_bytes != rows * width) {
-        return Corrupt(path, "payload size mismatch");
+        return Corrupt(context, "payload size mismatch");
       }
       if (cm.zone.null_count > rows) {
-        return Corrupt(path, "null count exceeds chunk rows");
+        return Corrupt(context, "null count exceeds chunk rows");
       }
     }
-    reader->info_.columns.push_back(
+    info_.columns.push_back(
         {col.name, col.was_category ? df::DataType::kCategory
          : col.physical == df::DataType::kCategory ? df::DataType::kString
                                                    : col.physical});
   }
   if (cur.remaining() != 0) {
-    return Corrupt(path, "trailing bytes in footer");
+    return Corrupt(context, "trailing bytes in footer");
   }
-  return reader;
+  // Tiling: the writer emits the magic, then every chunk (chunk-major,
+  // column-minor), then the dictionaries in column order, then the
+  // footer. Any gap, overlap or reordering means bytes nobody reads —
+  // junk appended to a payload, or a second image spliced into the first.
+  uint64_t pos = sizeof(kLfcMagic);
+  for (uint32_t i = 0; i < nchunks; ++i) {
+    for (const ColumnEntry& col : impl_->cols) {
+      const ChunkMeta& cm = col.chunks[i];
+      if (cm.offset != pos) {
+        return Corrupt(context, "chunk bytes out of writer order");
+      }
+      pos += cm.validity_bytes + cm.payload_bytes;
+    }
+  }
+  for (const ColumnEntry& col : impl_->cols) {
+    if (!col.dict_encoded) continue;
+    if (col.dict_offset != pos) {
+      return Corrupt(context, "dictionary bytes out of writer order");
+    }
+    pos += col.dict_bytes;
+  }
+  if (pos != footer_start) {
+    return Corrupt(context, std::to_string(footer_start - pos) +
+                                " bytes before the footer belong to no "
+                                "chunk or dictionary");
+  }
+  return Status::OK();
 }
 
 const LfcZoneMap& LfcReader::zone_map(size_t col, size_t chunk) const {
@@ -771,8 +825,8 @@ bool LfcReader::ChunkMayMatch(size_t chunk,
 
 namespace {
 
-/// Decode `take` rows of one column chunk, appending into caller-owned
-/// typed vectors (so multi-chunk assembly is one allocation per column).
+/// Typed vectors that one column's chunks decode into, so a multi-chunk
+/// column is assembled once instead of concatenated.
 struct ColumnAssembly {
   std::vector<int64_t> ints;
   std::vector<double> doubles;
@@ -783,25 +837,24 @@ struct ColumnAssembly {
   bool saw_invalid = false;
 };
 
-Status DecodeChunkInto(const std::string& path, const ColumnEntry& col,
+/// Decode `take` rows of one column chunk, appending to `out`.
+Status DecodeChunkInto(const std::string& context, const ColumnEntry& col,
                        const ChunkMeta& cm, const uint8_t* base,
                        uint64_t take, ColumnAssembly* out) {
   // Validity first: bits are LSB-first within each byte.
-  std::vector<uint8_t> valid;
-  if (cm.validity_bytes != 0) {
-    valid.resize(take);
-    const uint8_t* bitmap = base + cm.offset;
-    for (uint64_t i = 0; i < take; ++i) {
-      valid[i] = (bitmap[i / 8] >> (i % 8)) & 1;
-      if (valid[i] == 0) out->saw_invalid = true;
-    }
-  }
-  const uint8_t* payload = base + cm.offset + cm.validity_bytes;
   const size_t prior = out->validity.size();
   out->validity.resize(prior + take, 1);
-  if (!valid.empty()) {
-    std::copy(valid.begin(), valid.end(), out->validity.begin() + prior);
+  const uint8_t* valid = nullptr;
+  if (cm.validity_bytes != 0) {
+    uint8_t* dst = out->validity.data() + prior;
+    const uint8_t* bitmap = base + cm.offset;
+    for (uint64_t i = 0; i < take; ++i) {
+      dst[i] = (bitmap[i / 8] >> (i % 8)) & 1;
+      if (dst[i] == 0) out->saw_invalid = true;
+    }
+    valid = dst;
   }
+  const uint8_t* payload = base + cm.offset + cm.validity_bytes;
   switch (col.physical) {
     case df::DataType::kInt64:
     case df::DataType::kTimestamp: {
@@ -828,9 +881,9 @@ Status DecodeChunkInto(const std::string& path, const ColumnEntry& col,
       for (uint64_t i = 0; i < take; ++i) {
         uint32_t code = 0;
         std::memcpy(&code, payload + i * 4, 4);
-        const bool is_valid = valid.empty() || valid[i] != 0;
+        const bool is_valid = valid == nullptr || valid[i] != 0;
         if (is_valid && code >= col.dict_count) {
-          return Corrupt(path, "dictionary code out of range");
+          return Corrupt(context, "dictionary code out of range");
         }
         if (!is_valid) code = 0;  // never dereference a null row's code
         if (col.was_category) {
@@ -842,7 +895,7 @@ Status DecodeChunkInto(const std::string& path, const ColumnEntry& col,
       break;
     }
     case df::DataType::kNull:
-      return Corrupt(path, "bad column type");
+      return Corrupt(context, "bad column type");
   }
   return Status::OK();
 }
@@ -881,19 +934,19 @@ Result<df::ColumnPtr> FinishAssembly(const ColumnEntry& col,
 
 }  // namespace
 
-Result<df::DataFrame> LfcReader::ReadChunk(size_t chunk,
-                                           const std::vector<size_t>& col_idxs,
-                                           size_t limit) const {
-  const uint64_t rows = chunk_rows_[chunk];
-  const uint64_t take =
-      limit == 0 ? rows : std::min<uint64_t>(rows, limit);
+Result<df::DataFrame> LfcReader::Assemble(
+    const std::vector<size_t>& col_idxs,
+    const std::vector<Slice>& slices) const {
   std::vector<std::string> names;
   std::vector<df::ColumnPtr> cols;
   for (size_t idx : col_idxs) {
     const ColumnEntry& col = impl_->cols[idx];
     ColumnAssembly a;
-    LAFP_RETURN_NOT_OK(DecodeChunkInto(path_, col, col.chunks[chunk],
-                                       impl_->base(), take, &a));
+    for (const Slice& s : slices) {
+      LAFP_RETURN_NOT_OK(DecodeChunkInto(impl_->context, col,
+                                         col.chunks[s.chunk], impl_->base(),
+                                         s.take, &a));
+    }
     LAFP_ASSIGN_OR_RETURN(df::ColumnPtr built,
                           FinishAssembly(col, std::move(a), tracker_));
     names.push_back(col.name);
@@ -902,18 +955,17 @@ Result<df::DataFrame> LfcReader::ReadChunk(size_t chunk,
   return df::DataFrame::Make(std::move(names), std::move(cols));
 }
 
+Result<df::DataFrame> LfcReader::ReadChunk(size_t chunk,
+                                           const std::vector<size_t>& col_idxs,
+                                           size_t limit) const {
+  const uint64_t rows = chunk_rows_[chunk];
+  return Assemble(col_idxs,
+                  {{chunk, limit == 0 ? rows : std::min<uint64_t>(rows, limit)}});
+}
+
 Result<df::DataFrame> LfcReader::EmptyFrame(
     const std::vector<size_t>& col_idxs) const {
-  std::vector<std::string> names;
-  std::vector<df::ColumnPtr> cols;
-  for (size_t idx : col_idxs) {
-    const ColumnEntry& col = impl_->cols[idx];
-    LAFP_ASSIGN_OR_RETURN(df::ColumnPtr built,
-                          FinishAssembly(col, ColumnAssembly{}, tracker_));
-    names.push_back(col.name);
-    cols.push_back(std::move(built));
-  }
-  return df::DataFrame::Make(std::move(names), std::move(cols));
+  return Assemble(col_idxs, {});
 }
 
 Result<df::DataFrame> ReadLfcFile(const std::string& path,
@@ -934,11 +986,7 @@ Result<df::DataFrame> ReadLfcFile(const std::string& path,
   // consumes its share of the nrows quota so that the pruned scan is
   // exactly Filter-equivalent to the unpruned scan's first-nrows rows.
   const bool pruning = options.prune_enabled && !options.prune.empty();
-  struct Slice {
-    size_t chunk;
-    uint64_t take;
-  };
-  std::vector<Slice> slices;
+  std::vector<LfcReader::Slice> slices;
   uint64_t remaining = options.nrows == 0
                            ? std::numeric_limits<uint64_t>::max()
                            : options.nrows;
@@ -965,33 +1013,22 @@ Result<df::DataFrame> ReadLfcFile(const std::string& path,
     span.AddArg("skipped", static_cast<int64_t>(skipped));
   }
 
-  if (slices.empty()) return reader->EmptyFrame(sel);
-  if (slices.size() == 1) {
-    return reader->ReadChunk(slices[0].chunk, sel,
-                             static_cast<size_t>(slices[0].take));
+  return reader->Assemble(sel, slices);
+}
+
+Result<df::DataFrame> DecodeLfc(std::string_view bytes, MemoryTracker* tracker,
+                                const std::string& context) {
+  LfcReader reader;
+  LAFP_RETURN_NOT_OK(
+      reader.Parse(reinterpret_cast<const uint8_t*>(bytes.data()),
+                   bytes.size(), context, tracker));
+  std::vector<size_t> all(reader.impl_->cols.size());
+  for (size_t i = 0; i < all.size(); ++i) all[i] = i;
+  std::vector<LfcReader::Slice> slices;
+  for (size_t chunk = 0; chunk < reader.num_chunks(); ++chunk) {
+    slices.push_back({chunk, reader.chunk_rows(chunk)});
   }
-  // Multi-chunk assembly: one pass per column over the surviving
-  // slices, one allocation per column.
-  std::vector<std::string> names;
-  std::vector<df::ColumnPtr> cols;
-  for (size_t idx : sel) {
-    df::ColumnPtr built;
-    LAFP_ASSIGN_OR_RETURN(
-        built, [&]() -> Result<df::ColumnPtr> {
-          ColumnAssembly a;
-          const ColumnEntry& col = reader->impl_->cols[idx];
-          for (const Slice& s : slices) {
-            LAFP_RETURN_NOT_OK(DecodeChunkInto(path, col,
-                                               col.chunks[s.chunk],
-                                               reader->impl_->base(), s.take,
-                                               &a));
-          }
-          return FinishAssembly(col, std::move(a), tracker);
-        }());
-    names.push_back(reader->impl_->cols[idx].name);
-    cols.push_back(std::move(built));
-  }
-  return df::DataFrame::Make(std::move(names), std::move(cols));
+  return reader.Assemble(all, slices);
 }
 
 Result<LfcFileInfo> ReadLfcInfo(const std::string& path) {

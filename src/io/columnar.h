@@ -2,8 +2,11 @@
 #define LAFP_IO_COLUMNAR_H_
 
 #include <cstdint>
+#include <functional>
+#include <iosfwd>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/memory_tracker.h"
@@ -14,8 +17,9 @@
 namespace lafp::io {
 
 /// LFC ("Lazy Fat Columnar") — the native on-disk table format
-/// (ROADMAP item 2, DESIGN.md "Native columnar storage"). One file per
-/// table:
+/// (DESIGN.md "Native columnar storage") and the one frame codec: LFC
+/// files, spill files (exec/spill.h) and shard exchange payloads are all
+/// LFC images, written by one encoder and validated by one parser.
 ///
 ///   [magic u64]
 ///   [chunk data: per chunk, per column: validity bitmap + payload]
@@ -25,13 +29,16 @@ namespace lafp::io {
 ///
 /// The footer lives at the end so the writer streams chunk payloads
 /// without back-patching; readers locate it through the fixed-size
-/// trailer. Reads are mmap-backed and validate every offset/length
-/// against the mapped size before touching bytes (the spill-reader
-/// clamping discipline, hardened further by tests/lfc_corpus).
+/// trailer. The parser works on any byte range (an mmap'd file or an
+/// in-memory payload) and validates every offset/length against it
+/// before touching bytes. It also checks that magic, chunks (in
+/// chunk-major, column-minor order), dictionaries, footer and trailer
+/// tile the range exactly, so no byte of an accepted image is unread.
+/// tests/lfc_corpus holds the hostile inputs.
 ///
 /// Fault points: `lfc.write` fires once per column-chunk while writing
-/// (partial tmp files are unlinked; the final rename is atomic) and
-/// `lfc.read` fires at open.
+/// and once more before the rename (partial tmp files are unlinked; the
+/// final rename is atomic) and `lfc.read` fires at open.
 
 inline constexpr uint64_t kLfcMagic = 0x4c41465043465331ULL;  // "LAFPCFS1"
 inline constexpr uint32_t kLfcVersion = 1;
@@ -89,6 +96,28 @@ struct LfcFileInfo {
   std::vector<LfcColumnInfo> columns;
   uint64_t footer_checksum = 0;
 };
+
+/// The one frame encoder: writes `frame` to `out` as a complete LFC image
+/// in chunks of `chunk_rows` rows (0 = the LfcWriteOptions default).
+/// When `fault_site` is non-null, FaultPoint(fault_site) is consulted
+/// before each column chunk, so an injected fault lands mid-image. A
+/// failed stream stops the encode with an IOError; kNull-typed columns
+/// are rejected. Callers own the surrounding file or buffer.
+Status EncodeLfc(const df::DataFrame& frame, size_t chunk_rows,
+                 std::ostream& out, const char* fault_site = nullptr);
+
+/// Write an encoded image to `path` through `path + ".tmp"` and an atomic
+/// rename: `encode` fills the stream, and on any failure (its Status or a
+/// failed stream) the tmp file is unlinked, so neither path ever holds a
+/// partial image. `what` names the file kind in messages ("lfc file").
+Status WriteFileAtomically(const std::string& path, const std::string& what,
+                           const std::function<Status(std::ostream&)>& encode);
+
+/// Decode every row of an in-memory LFC image (a spill file's bytes, a
+/// shard exchange payload) with the same validation as LfcReader::Open.
+/// `context` names the source in error messages ("shard exchange").
+Result<df::DataFrame> DecodeLfc(std::string_view bytes, MemoryTracker* tracker,
+                                const std::string& context);
 
 /// True when `path` starts with the LFC magic (false on any IO error).
 /// Cheap enough for per-read dispatch sniffing.
@@ -160,14 +189,30 @@ class LfcReader {
 
  private:
   struct Impl;
+  /// `take` leading rows of one chunk.
+  struct Slice {
+    size_t chunk;
+    uint64_t take;
+  };
   LfcReader();
 
-  // ReadLfcFile assembles multi-chunk columns straight from the mapping
-  // (one allocation per column) instead of concatenating ReadChunk frames.
+  /// The parse core behind Open and DecodeLfc: validates the image at
+  /// [data, data + size), which must outlive the reader.
+  Status Parse(const uint8_t* data, size_t size, std::string context,
+               MemoryTracker* tracker);
+
+  /// Decode `slices` of the columns `col_idxs`, each column assembled
+  /// once; no slices gives the empty projected frame.
+  Result<df::DataFrame> Assemble(const std::vector<size_t>& col_idxs,
+                                 const std::vector<Slice>& slices) const;
+
   friend Result<df::DataFrame> ReadLfcFile(const std::string& path,
                                            const LfcReadOptions& options,
                                            MemoryTracker* tracker,
                                            LfcReadStats* stats);
+  friend Result<df::DataFrame> DecodeLfc(std::string_view bytes,
+                                         MemoryTracker* tracker,
+                                         const std::string& context);
 
   std::unique_ptr<Impl> impl_;
   std::string path_;

@@ -103,8 +103,8 @@ struct ShardPartition {
 /// boundaries), the forked-process placement of exec::PartitionedExecutor:
 /// a coordinator forks N single-threaded workers, scans partition across
 /// them (global chunk index mod N), and per-partition work and two-phase
-/// partials run where the partition lives. Frames cross the socket in the
-/// hardened spill stream format (exec/spill.h). Results are byte-identical
+/// partials run where the partition lives. Frames cross the socket as
+/// one-chunk LFC images (exec/spill.h). Results are byte-identical
 /// to the single-process engines for any shard count.
 class ShardBackend : public exec::Backend, private exec::Placement {
  public:

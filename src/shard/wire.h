@@ -16,9 +16,10 @@
 ///   u32 magic ("LFSH") | u32 type | u64 payload_len | payload bytes
 ///
 /// Payloads are little-endian structs built with WireWriter and decoded
-/// with the bounds-checked WireReader; dataframes travel as the spill
-/// stream format (exec/spill.h, SerializeFrame/DeserializeFrame) so the
-/// exchange path reuses the hardened length-validated decoder.
+/// with the bounds-checked WireReader; dataframes travel as one-chunk LFC
+/// images (exec/spill.h SerializeFrame/DeserializeFrame over
+/// io/columnar.h), so the exchange, spill files and LFC files share one
+/// validating decoder.
 ///
 /// Request payloads (coordinator -> worker):
 ///   kScan:           OpDesc | u32 worker_index | u32 num_workers

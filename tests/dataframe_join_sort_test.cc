@@ -199,6 +199,33 @@ TEST_F(JoinSortTest, ConcatWidensIntToDouble) {
   EXPECT_DOUBLE_EQ((*cat->column("x"))->DoubleAt(0), 1.0);
 }
 
+// pandas keeps the categorical dtype when every piece has the same
+// categories (the partitions of one column), and falls back to object
+// (string) when they differ.
+TEST_F(JoinSortTest, ConcatKeepsCategoryOnlyOverEqualDictionaries) {
+  auto cats = *CategorizeStrings(
+      **Column::MakeString({"p", "q", "p", "r"}, {1, 1, 0, 1}, &tracker_),
+      &tracker_);
+  auto head = *DataFrame::Make({"c"}, {*cats->Slice(0, 2)});
+  auto tail = *DataFrame::Make({"c"}, {*cats->Slice(2, 2)});
+  auto kept = Concat({head, tail});
+  ASSERT_TRUE(kept.ok());
+  const Column& c = **kept->column("c");
+  ASSERT_EQ(c.type(), DataType::kCategory);
+  ASSERT_EQ(c.size(), 4u);
+  EXPECT_EQ(c.StringAt(0), "p");
+  EXPECT_FALSE(c.IsValid(2));
+  EXPECT_EQ(c.StringAt(3), "r");
+
+  auto other = *DataFrame::Make(
+      {"c"}, {*CategorizeStrings(**Column::MakeString({"z"}, {}, &tracker_),
+                                 &tracker_)});
+  auto mixed = Concat({head, other});
+  ASSERT_TRUE(mixed.ok());
+  EXPECT_EQ((*mixed->column("c"))->type(), DataType::kString);
+  EXPECT_EQ((*mixed->column("c"))->StringAt(2), "z");
+}
+
 TEST_F(JoinSortTest, ConcatRejectsSchemaMismatch) {
   auto a = *DataFrame::Make({"x"},
                             {*Column::MakeInt({1}, {}, &tracker_)});

@@ -15,6 +15,7 @@
 
 #include "common/metrics.h"
 #include "common/trace.h"
+#include "dataframe/ops.h"
 #include "exec/backend.h"
 #include "io/columnar.h"
 
@@ -102,12 +103,12 @@ class PartitionedTest : public ::testing::TestWithParam<PlacementCase> {
   }
 
   /// id, g (group key), v (int), d (exact-in-binary double, some null),
-  /// b (bool), s (string, some null).
+  /// b (bool), s (string, some null), c (category, some null).
   DataFrame MakeFacts(int n) {
     std::vector<int64_t> id, g, v;
     std::vector<double> d;
-    std::vector<uint8_t> b, d_valid, s_valid;
-    std::vector<std::string> s;
+    std::vector<uint8_t> b, d_valid, s_valid, c_valid;
+    std::vector<std::string> s, c;
     for (int i = 0; i < n; ++i) {
       id.push_back(i);
       g.push_back(i % 9);
@@ -117,14 +118,18 @@ class PartitionedTest : public ::testing::TestWithParam<PlacementCase> {
       b.push_back(i % 3 == 0);
       s.push_back("s" + std::to_string((i * 5) % 17));
       s_valid.push_back(i % 7 != 0);
+      c.push_back("c" + std::to_string(i % 4));
+      c_valid.push_back(i % 13 != 0);
     }
     return *DataFrame::Make(
-        {"id", "g", "v", "d", "b", "s"},
+        {"id", "g", "v", "d", "b", "s", "c"},
         {*Column::MakeInt(id, {}, &tracker_), *Column::MakeInt(g, {}, &tracker_),
          *Column::MakeInt(v, {}, &tracker_),
          *Column::MakeDouble(d, d_valid, &tracker_),
          *Column::MakeBool(b, {}, &tracker_),
-         *Column::MakeString(s, s_valid, &tracker_)});
+         *Column::MakeString(s, s_valid, &tracker_),
+         *df::CategorizeStrings(**Column::MakeString(c, c_valid, &tracker_),
+                                &tracker_)});
   }
 
   BackendValue Place(const DataFrame& frame) {
@@ -251,16 +256,60 @@ TEST_P(PartitionedTest, ReduceEveryFunctionAndDtypeMatchesEager) {
     BackendValue placed = Place(frame);
     for (AggFunc func : {AggFunc::kSum, AggFunc::kMean, AggFunc::kCount,
                          AggFunc::kMin, AggFunc::kMax, AggFunc::kNunique}) {
-      // The wrap series targets the integer-sum fold. Integer min/max
-      // round through double inside df::Reduce itself (not the fold), so
-      // INT64_MAX has no exact extreme there; CHANGES.md tracks that.
-      const bool extreme = func == AggFunc::kMin || func == AggFunc::kMax;
-      if (label == "wrap" && extreme) continue;
       OpDesc reduce;
       reduce.kind = OpKind::kReduce;
       reduce.agg_func = func;
       auto [got, want] = Both(reduce, {placed}, {EagerValue::Frame(frame)});
       EXPECT_EQ(got, want) << label << " func=" << static_cast<int>(func);
+    }
+  }
+}
+
+// int64 and timestamp extremes stay in the integer domain, eagerly and
+// through every placement's fold: a double holds neither INT64_MAX (the
+// cast back is out of range) nor 2^53 + 1 (it rounds to 2^53). The
+// expectations are absolute, because Both() alone passes when the eager
+// kernel and the fold are wrong in the same way.
+TEST_P(PartitionedTest, IntExtremesStayExact) {
+  for (const int64_t hi : {std::numeric_limits<int64_t>::max(),
+                           (int64_t{1} << 53) + 1}) {
+    // Zeros with the extreme in the middle partition.
+    std::vector<int64_t> vals(3 * kPartitionRows, 0);
+    vals[kPartitionRows + 1] = hi;
+    const std::vector<std::pair<ColumnPtr, Scalar (*)(int64_t)>> columns = {
+        {*Column::MakeInt(vals, {}, &tracker_), &Scalar::Int},
+        {*Column::MakeTimestamp(vals, {}, &tracker_), &Scalar::Timestamp}};
+    for (const auto& [column, scalar_of] : columns) {
+      const std::string label = std::to_string(hi) + "/" +
+                                df::DataTypeName(column->type());
+      DataFrame frame = *DataFrame::Make({"x"}, {column});
+      BackendValue placed = Place(frame);
+      for (AggFunc func : {AggFunc::kMax, AggFunc::kMin}) {
+        OpDesc reduce;
+        reduce.kind = OpKind::kReduce;
+        reduce.agg_func = func;
+        auto [got, want] = Both(reduce, {placed}, {EagerValue::Frame(frame)});
+        const std::string exact =
+            Canon(scalar_of(func == AggFunc::kMax ? hi : 0));
+        EXPECT_EQ(want, exact) << label << " eager";
+        EXPECT_EQ(got, exact) << label << " placed";
+      }
+      // The two-phase group-by folds per-partition extremes the same way.
+      std::vector<int64_t> keys(vals.size(), 1);
+      DataFrame keyed = *DataFrame::Make(
+          {"k", "x"}, {*Column::MakeInt(keys, {}, &tracker_), column});
+      OpDesc gb;
+      gb.kind = OpKind::kGroupByAgg;
+      gb.columns = {"k"};
+      gb.aggs = {{"x", AggFunc::kMax, "mx"}, {"x", AggFunc::kMin, "mn"}};
+      auto [got, want] = Both(gb, {Place(keyed)}, {EagerValue::Frame(keyed)});
+      DataFrame expected = *DataFrame::Make(
+          {"k", "mx", "mn"},
+          {*Column::MakeInt({1}, {}, &tracker_),
+           *Column::MakeConstant(scalar_of(hi), 1, &tracker_),
+           *Column::MakeConstant(scalar_of(0), 1, &tracker_)});
+      EXPECT_EQ(want, Canon(expected)) << label << " eager group-by";
+      EXPECT_EQ(got, Canon(expected)) << label << " placed group-by";
     }
   }
 }

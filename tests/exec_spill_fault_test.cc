@@ -9,6 +9,7 @@
 #include "dataframe/ops.h"
 #include "exec/partition.h"
 #include "exec/spill.h"
+#include "io/columnar.h"
 
 namespace lafp::exec {
 namespace {
@@ -58,6 +59,7 @@ TEST_F(SpillFaultTest, InjectedWriteFaultUnlinksPartialFile) {
     Status st = WriteSpillFile(frame, path);
     EXPECT_TRUE(st.IsIOError()) << "nth=" << nth << ": " << st.ToString();
     EXPECT_FALSE(fs::exists(path)) << "partial file left at nth=" << nth;
+    EXPECT_FALSE(fs::exists(path + ".tmp")) << "tmp file left at nth=" << nth;
   }
   // With the fault exhausted (single-shot), the same write succeeds.
   const std::string path = dir_ + "/ok.bin";
@@ -92,37 +94,76 @@ TEST_F(SpillFaultTest, PartitionSpillIsRetrySafeAfterFault) {
   EXPECT_EQ(frame->num_rows(), 4u);
 }
 
-// Checked-in corrupt/hostile spill files: every one must fail with a
-// clean Status — no crash, no multi-gigabyte allocation from a hostile
-// length field.
+std::string ReadBytes(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+// Spill files and exchange payloads are LFC images, so the hostile LFC
+// corpus (tests/lfc_corpus) is their corpus too: every file must fail
+// with a clean Status through all three entry points — no crash, no
+// multi-gigabyte allocation from a hostile length field, no tracker leak.
+//
+// Each case of the retired spill-stream corpus maps to an LFC file:
+//   bad_magic.bin          -> bad_head_magic.lfc
+//   bad_type.bin           -> bad_column_type.lfc
+//   empty.bin              -> empty.lfc
+//   huge_name_len.bin      -> huge_name_len.lfc
+//   huge_ncols.bin         -> huge_ncols.lfc
+//   huge_nrows.bin         -> huge_rows_payload_wrap.lfc
+//   huge_string_len.bin    -> huge_dict_entry_len.lfc
+//   rows_without_cols.bin  -> rows_without_cols.lfc
+//   truncated_header.bin   -> magic_only.lfc
+//   truncated_payload.bin  -> trunc_mid_chunkdata.lfc
+//   zero_rows_nonempty_cols.spill -> pins/zero_rows_nonempty_cols.lfc
+//                             (positive; ZeroRowCorpusPinStaysReadable)
+// gap_before_chunk.lfc pins the tiling check: its chunk starts 4 bytes
+// late, which every per-chunk bound accepts.
 TEST_F(SpillFaultTest, CorruptCorpusFailsCleanly) {
-  const fs::path corpus = LAFP_SPILL_CORPUS_DIR;
+  const fs::path corpus = LAFP_LFC_CORPUS_DIR;
   ASSERT_TRUE(fs::exists(corpus)) << corpus;
   int checked = 0;
   for (const auto& entry : fs::directory_iterator(corpus)) {
-    if (entry.path().extension() != ".bin") continue;
+    if (entry.path().extension() != ".lfc") continue;
+    const std::string name = entry.path().filename().string();
     const int64_t before = tracker_.current();
-    auto result = ReadSpillFile(entry.path().string(), &tracker_);
-    EXPECT_FALSE(result.ok()) << entry.path().filename();
-    EXPECT_EQ(tracker_.current(), before)
-        << "tracker leak from " << entry.path().filename();
+    EXPECT_FALSE(io::ReadLfcFile(entry.path().string(), {}, &tracker_).ok())
+        << name;
+    EXPECT_FALSE(ReadSpillFile(entry.path().string(), &tracker_).ok())
+        << name;
+    EXPECT_FALSE(DeserializeFrame(ReadBytes(entry.path()), &tracker_).ok())
+        << name;
+    EXPECT_EQ(tracker_.current(), before) << "tracker leak from " << name;
     ++checked;
   }
-  EXPECT_GE(checked, 8);
+  EXPECT_GE(checked, 30);
 }
 
-// Positive pin: the checked-in zero-row-with-columns encoding (the exact
+// Positive pin: the checked-in zero-row-with-columns image (the exact
 // bytes shard workers emit for an empty partition) must stay readable
-// forever — a clamp tightened for hostile files must not regress it.
+// through every entry point, and the encoder must keep producing it — a
+// check tightened for hostile files must not regress it.
 TEST_F(SpillFaultTest, ZeroRowCorpusPinStaysReadable) {
   const fs::path pin =
-      fs::path(LAFP_SPILL_CORPUS_DIR) / "zero_rows_nonempty_cols.spill";
+      fs::path(LAFP_LFC_CORPUS_DIR) / "pins" / "zero_rows_nonempty_cols.lfc";
   ASSERT_TRUE(fs::exists(pin)) << pin;
-  auto frame = ReadSpillFile(pin.string(), &tracker_);
-  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
-  EXPECT_EQ(frame->num_rows(), 0u);
-  ASSERT_EQ(frame->num_columns(), 2u);
-  EXPECT_EQ(frame->names(), (std::vector<std::string>{"i", "s"}));
+  const std::string bytes = ReadBytes(pin);
+  std::vector<Result<DataFrame>> reads;
+  reads.push_back(io::ReadLfcFile(pin.string(), {}, &tracker_));
+  reads.push_back(ReadSpillFile(pin.string(), &tracker_));
+  reads.push_back(DeserializeFrame(bytes, &tracker_));
+  for (const auto& frame : reads) {
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    EXPECT_EQ(frame->num_rows(), 0u);
+    ASSERT_EQ(frame->num_columns(), 2u);
+    EXPECT_EQ(frame->names(), (std::vector<std::string>{"i", "s"}));
+    EXPECT_EQ(frame->column(0)->type(), DataType::kInt64);
+    EXPECT_EQ(frame->column(1)->type(), DataType::kString);
+  }
+  auto encoded = SerializeFrame(*reads.back());
+  ASSERT_TRUE(encoded.ok());
+  EXPECT_EQ(*encoded, bytes);
 }
 
 // Every strict prefix of a valid spill file is a truncation the reader
@@ -139,6 +180,32 @@ TEST_F(SpillFaultTest, EveryTruncationFailsCleanly) {
         .write(bytes.data(), static_cast<std::streamsize>(len));
     auto result = ReadSpillFile(trunc, &tracker_);
     EXPECT_FALSE(result.ok()) << "prefix of length " << len << " succeeded";
+  }
+}
+
+// The exchange decodes payloads from memory: every strict prefix and every
+// single-bit flip of a payload must end in a clean Status or a frame of
+// the original shape, decoded straight from the buffer (ASan checks that
+// no byte outside it is read).
+TEST_F(SpillFaultTest, PayloadTruncationsAndBitFlipsFailCleanly) {
+  auto payload = SerializeFrame(SampleFrame());
+  ASSERT_TRUE(payload.ok());
+  const std::string& bytes = *payload;
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    // A heap copy of exactly `len` bytes, so an over-read is caught.
+    const std::vector<char> prefix(bytes.begin(), bytes.begin() + len);
+    EXPECT_FALSE(
+        DeserializeFrame(std::string_view(prefix.data(), len), &tracker_)
+            .ok())
+        << "prefix of length " << len << " succeeded";
+  }
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string mutated = bytes;
+      mutated[i] ^= static_cast<char>(1 << bit);
+      auto result = DeserializeFrame(mutated, &tracker_);
+      if (result.ok()) EXPECT_EQ(result->num_rows(), 4u);
+    }
   }
 }
 

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
+#include "common/hash.h"
 #include "dataframe/ops.h"
 #include "exec/partition.h"
 
@@ -52,8 +54,8 @@ TEST_F(SpillTest, RoundTripsAllTypes) {
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back->num_rows(), 3u);
   EXPECT_EQ(back->names(), frame.names());
-  // Categories come back as plain strings; values must match.
-  EXPECT_EQ((*back->column("c"))->type(), DataType::kString);
+  // Categories keep their type and dictionary; values must match.
+  EXPECT_EQ((*back->column("c"))->type(), DataType::kCategory);
   for (size_t r = 0; r < 3; ++r) {
     for (size_t c = 0; c < frame.num_columns(); ++c) {
       EXPECT_EQ(back->column(c)->ValueString(r),
@@ -98,28 +100,50 @@ TEST_F(SpillTest, ZeroRowNonEmptyColumnsRoundTripOnWire) {
 }
 
 // Message-framed payloads carry an exact length: trailing bytes after
-// the frame mean protocol desync and must fail, not be ignored.
+// the frame mean protocol desync and must fail, not be ignored. That
+// holds even when the tail is itself a valid image whose trailer the
+// decoder would find: the chunks must tile every byte before the footer.
 TEST_F(SpillTest, WirePayloadRejectsTrailingJunk) {
   DataFrame frame = AllTypesFrame();
   auto bytes = SerializeFrame(frame);
   ASSERT_TRUE(bytes.ok());
   EXPECT_TRUE(DeserializeFrame(*bytes, &tracker_).ok());
   EXPECT_FALSE(DeserializeFrame(*bytes + "x", &tracker_).ok());
+  auto doubled = DeserializeFrame(*bytes + *bytes, &tracker_);
+  ASSERT_FALSE(doubled.ok());
+  EXPECT_NE(doubled.status().message().find("belong to no chunk"),
+            std::string::npos)
+      << doubled.status().ToString();
 }
 
 // Rows claimed with no columns to hold them are unrepresentable; the
-// header clamp must reject the combination (ncols == 0 && nrows > 0)
-// while keeping the legitimate zero-row / zero-column cases working.
+// footer check must reject the combination (ncols == 0 && nrows > 0)
+// while the legitimate zero-row / zero-column image keeps decoding.
 TEST_F(SpillTest, RejectsRowsWithoutColumns) {
   auto bytes = SerializeFrame(DataFrame());
   ASSERT_TRUE(bytes.ok());
-  // Patch nrows (u64 at offset 12, after u64 magic + u32 ncols) to 5.
-  std::string forged = *bytes;
-  ASSERT_GE(forged.size(), 20u);
-  forged[12] = 5;
+  ASSERT_TRUE(DeserializeFrame(*bytes, &tracker_).ok());
+  // The empty image is magic | footer | trailer. Its footer is
+  // u32 version | u64 nrows | u64 chunk_rows | u32 ncols | u32 nchunks.
+  // Forge nrows = 5 with one 5-row chunk, and re-seal the checksum so the
+  // decoder reaches the column-count check.
+  const size_t footer_start = 8;
+  std::string footer = bytes->substr(footer_start, 28);
+  const uint64_t rows = 5;
+  const uint32_t nchunks = 1;
+  std::memcpy(footer.data() + 4, &rows, 8);
+  std::memcpy(footer.data() + 24, &nchunks, 4);
+  footer.append(reinterpret_cast<const char*>(&rows), 8);
+  const uint64_t footer_len = footer.size();
+  const uint64_t checksum = Fnv1a64(footer);
+  std::string forged = bytes->substr(0, footer_start) + footer;
+  forged.append(reinterpret_cast<const char*>(&footer_len), 8);
+  forged.append(reinterpret_cast<const char*>(&checksum), 8);
+  forged.append(bytes->substr(bytes->size() - 8));  // tail magic
   auto back = DeserializeFrame(forged, &tracker_);
   ASSERT_FALSE(back.ok());
-  EXPECT_NE(back.status().message().find("no columns"), std::string::npos)
+  EXPECT_NE(back.status().message().find("row count without columns"),
+            std::string::npos)
       << back.status().ToString();
 }
 
